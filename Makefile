@@ -256,10 +256,29 @@ bench-devices:
 	dune exec bench/micro_main.exe -- --bench-devices
 	@python3 scripts/check_bench_schema.py BENCH_devices.json
 
+# Compile-benchmark smoke (perfbench/, BENCHMARK.json): one pass of each
+# workload, then one traced model-suite-cold run, whose stage-by-stage
+# replay must return exactly what Service.handle returns (else the run
+# exits 3). Each run's result line must report every output correct and
+# no failed request.
+PERFBENCH_OUT = /tmp/paqoc_perfbench_smoke.txt
+perfbench-smoke:
+	@for w in model-suite-cold daemon-warm-mix qoc-small; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 0 \
+	    --trace 0 > $(PERFBENCH_OUT) || exit 1; \
+	  python3 scripts/check_perfbench_result.py $$w \
+	    < $(PERFBENCH_OUT) || exit 1; \
+	done
+	@python3 perfbench/run.py --workload model-suite-cold --seed 1 \
+	  --seconds 0 --trace 1 > $(PERFBENCH_OUT)
+	@python3 scripts/check_perfbench_result.py model-suite-cold-traced \
+	  < $(PERFBENCH_OUT)
+	@rm -f $(PERFBENCH_OUT)
+
 # Full evaluation harness (tables, figures, bechamel kernels).
 bench:
 	dune exec bench/main.exe
 
 .PHONY: check check-ir check-daemon doc bench bench-scaling bench-smoke \
   bench-search bench-serve bench-sweep bench-devices check-search-golden \
-  update-golden
+  update-golden perfbench-smoke

@@ -277,6 +277,15 @@ let run_scheme scheme ~max_n ~top_k ~jobs ?(search = `Incremental) ?cache
     ( r.Paqoc.latency, r.Paqoc.esp, r.Paqoc.compile_seconds,
       r.Paqoc.n_groups, r.Paqoc.fallbacks, r.Paqoc.grouped )
 
+(* What the printed compile cost measures. On the model backend the QOC
+   time is modeled. On the QOC backend PAQOC reports the compile's wall
+   time, real GRAPE included, and AccQOC its measured GRAPE seconds. *)
+let cost_label scheme backend =
+  match (backend, scheme) with
+  | `Model, _ -> "modeled QOC time"
+  | `Qoc, (`Acc3 | `Acc5) -> "measured QOC time"
+  | `Qoc, (`M0 | `Mtuned | `Minf) -> "wall time, GRAPE included"
+
 (* ------------------------------------------------------------------ *)
 (* Daemon client plumbing (--connect)                                  *)
 (* ------------------------------------------------------------------ *)
@@ -488,7 +497,7 @@ let compile_cmd =
              waveforms and is self-verifying — see $(b,paqoc \
              export-ir) and docs/pulse-ir.md). In-process only.")
   in
-  let print_result (r : Protocol.compile_result) input =
+  let print_result (r : Protocol.compile_result) input label =
     Printf.printf
       "transpiled %s: %d logical qubits -> %d-qubit device, %d physical \
        gates (%d swaps inserted)\n"
@@ -496,8 +505,8 @@ let compile_cmd =
       r.Protocol.physical_gates r.Protocol.swaps_added;
     Printf.printf "circuit latency : %.0f dt\n" r.Protocol.latency;
     Printf.printf "estimated ESP   : %.4f\n" r.Protocol.esp;
-    Printf.printf "compile cost    : %.1f s (modeled QOC time)\n"
-      r.Protocol.compile_seconds;
+    Printf.printf "compile cost    : %.1f s (%s)\n" r.Protocol.compile_seconds
+      label;
     Printf.printf "pulse episodes  : %d\n" r.Protocol.episodes;
     if r.Protocol.fallbacks > 0 then
       Printf.printf
@@ -545,7 +554,8 @@ let compile_cmd =
       in
       (try
          Server.with_connection sock (fun fd ->
-             print_result (rpc_compile fd req) input)
+             print_result (rpc_compile fd req) input
+               (cost_label scheme backend))
        with Failure msg ->
          Printf.eprintf "error: %s\n" msg;
          exit 1)
@@ -601,7 +611,8 @@ let compile_cmd =
       in
       Printf.printf "circuit latency : %.0f dt\n" latency;
       Printf.printf "estimated ESP   : %.4f\n" esp;
-      Printf.printf "compile cost    : %.1f s (modeled QOC time)\n" seconds;
+      Printf.printf "compile cost    : %.1f s (%s)\n" seconds
+        (cost_label scheme backend);
       Printf.printf "pulse episodes  : %d\n" groups;
       if fallbacks > 0 then
         Printf.printf

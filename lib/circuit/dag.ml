@@ -187,10 +187,11 @@ type schedule = {
   critical : bool array;
 }
 
-let schedule d ~latency =
+let schedule_latencies d lat =
   let n = n_nodes d in
+  if Array.length lat <> n then
+    invalid_arg "Dag.schedule_latencies: one latency per node expected";
   let est = Array.make n 0.0 in
-  let lat = Array.init n (fun v -> latency d.gates.(v)) in
   for v = 0 to n - 1 do
     List.iter
       (fun p -> if est.(p) +. lat.(p) > est.(v) then est.(v) <- est.(p) +. lat.(p))
@@ -215,6 +216,9 @@ let schedule d ~latency =
     critical.(v) <- est.(v) +. lat.(v) +. cp_after.(v) >= !total -. eps
   done;
   { est; latency = lat; cp_after; total = !total; critical }
+
+let schedule d ~latency =
+  schedule_latencies d (Array.init (n_nodes d) (fun v -> latency d.gates.(v)))
 
 let critical_path d sched =
   let n = n_nodes d in

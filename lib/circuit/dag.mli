@@ -79,6 +79,11 @@ type schedule = {
     [latency]. *)
 val schedule : t -> latency:(Gate.app -> float) -> schedule
 
+(** [schedule_latencies dag lat] is {!schedule} with node [v]'s latency
+    given as [lat.(v)] (the array becomes the result's [latency] field).
+    @raise Invalid_argument unless [lat] has one entry per node. *)
+val schedule_latencies : t -> float array -> schedule
+
 (** [critical_path dag sched] is one maximal-latency path, in order. *)
 val critical_path : t -> schedule -> int list
 

@@ -24,41 +24,34 @@ let custom_of_nodes dag nodes ~name =
 
 (* S is convex iff no node outside S is simultaneously a descendant of some
    member and an ancestor of another. Because node ids are topological, any
-   such witness lies strictly between min(S) and max(S). *)
+   such witness lies strictly between min(S) and max(S), so the scratch
+   covers only the window [lo, hi] (index [v - lo]), not the whole DAG. *)
 let is_convex dag nodes =
   match List.sort_uniq compare nodes with
   | [] | [ _ ] -> true
-  | sorted ->
-    let lo = List.hd sorted and hi = List.nth sorted (List.length sorted - 1) in
-    let in_set = Hashtbl.create 8 in
-    List.iter (fun v -> Hashtbl.replace in_set v ()) sorted;
-    let n = Dag.n_nodes dag in
+  | lo :: _ as sorted ->
+    let hi = List.fold_left max lo sorted in
+    let w = hi - lo + 1 in
+    let in_set = Array.make w false in
+    List.iter (fun v -> in_set.(v - lo) <- true) sorted;
+    (* successors of window nodes have ids above [lo] *)
+    let member s = s <= hi && in_set.(s - lo) in
     (* forward reachability from S within the window *)
-    let desc = Array.make n false in
-    List.iter
-      (fun v ->
-        List.iter
-          (fun s -> if s <= hi && not (Hashtbl.mem in_set s) then desc.(s) <- true)
-          (Dag.succs dag v))
-      sorted;
+    let desc = Array.make w false in
+    let mark s = if s <= hi && not in_set.(s - lo) then desc.(s - lo) <- true in
+    List.iter (fun v -> List.iter mark (Dag.succs dag v)) sorted;
     for v = lo + 1 to hi - 1 do
-      if desc.(v) then
-        List.iter
-          (fun s -> if s <= hi && not (Hashtbl.mem in_set s) then desc.(s) <- true)
-          (Dag.succs dag v)
+      if desc.(v - lo) then List.iter mark (Dag.succs dag v)
     done;
     (* a violation: an outside descendant that feeds back into S *)
     let ok = ref true in
     for v = lo + 1 to hi - 1 do
-      if desc.(v) && not (Hashtbl.mem in_set v) then
-        List.iter
-          (fun s -> if Hashtbl.mem in_set s then ok := false)
-          (Dag.succs dag v)
+      if desc.(v - lo) && not in_set.(v - lo) then
+        List.iter (fun s -> if member s then ok := false) (Dag.succs dag v)
     done;
     !ok
 
-let contract_mapped (c : Circuit.t) groups =
-  let dag = Dag.of_circuit c in
+let contract_mapped dag groups =
   let n = Dag.n_nodes dag in
   (* group id per node: -1 = own node, otherwise index into groups *)
   let owner = Array.make n (-1) in
@@ -130,7 +123,7 @@ let contract_mapped (c : Circuit.t) groups =
   if !emitted <> n_exist then
     invalid_arg "Rewrite.contract: contraction created a cycle";
   let rows = List.rev !out in
-  ( Circuit.make ~n_qubits:c.Circuit.n_qubits (List.map fst rows),
+  ( Circuit.make ~n_qubits:(Dag.n_qubits dag) (List.map fst rows),
     Array.of_list (List.map snd rows) )
 
-let contract c groups = fst (contract_mapped c groups)
+let contract c groups = fst (contract_mapped (Dag.of_circuit c) groups)

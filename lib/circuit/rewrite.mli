@@ -13,7 +13,8 @@
 val custom_of_nodes : Dag.t -> int list -> name:string -> Gate.app
 
 (** [is_convex dag nodes] checks that no dependence path exits and
-    re-enters [nodes]. *)
+    re-enters [nodes]. Its scratch is sized to the id window
+    [[min nodes, max nodes]], not to the DAG. *)
 val is_convex : Dag.t -> int list -> bool
 
 (** [contract c groups] replaces each [(nodes, replacement)] (disjoint,
@@ -22,10 +23,12 @@ val is_convex : Dag.t -> int list -> bool
     @raise Invalid_argument on overlapping or non-convex groups. *)
 val contract : Circuit.t -> (int list * Gate.app) list -> Circuit.t
 
-(** [contract_mapped c groups] is {!contract} plus the origin of every
-    output gate: [old_of_new.(j)] is the old node id the [j]-th gate of
-    the result survives from, or [-(gi+1)] when it is the replacement
-    gate of [List.nth groups gi]. The incremental criticality engine
-    uses this to carry node state across a merge edit. *)
+(** [contract_mapped dag groups] is {!contract} on the circuit [dag] was
+    built from ([Dag.of_circuit c]), reusing the caller's DAG instead of
+    rebuilding it, plus the origin of every output gate:
+    [old_of_new.(j)] is the old node id the [j]-th gate of the result
+    survives from, or [-(gi+1)] when it is the replacement gate of
+    [List.nth groups gi]. The incremental criticality engine uses this to
+    carry node state across a merge edit. *)
 val contract_mapped :
-  Circuit.t -> (int list * Gate.app) list -> Circuit.t * int array
+  Dag.t -> (int list * Gate.app) list -> Circuit.t * int array

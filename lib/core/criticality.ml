@@ -68,7 +68,9 @@ module Obs = Paqoc_obs.Obs
    [commit]s (swap buffers, O(1)) or discards (do nothing). All
    buffers are preallocated at [create] and reused for every edit, so
    steady-state staging allocates only the contracted circuit and its
-   DAG — no per-node float boxing, no worklists. *)
+   DAG — no per-node float boxing, no worklists. The contraction reuses
+   the committed DAG [dagv] ([commit] keeps it equal to
+   [Dag.of_circuit circuit]) instead of rebuilding it per stage. *)
 module Engine = struct
   type e = {
     gen : Generator.t;
@@ -76,7 +78,7 @@ module Engine = struct
     (* committed state *)
     mutable n : int;
     mutable circuit : Circuit.t;
-    mutable dagv : Dag.t;
+    mutable dagv : Dag.t;  (** always [Dag.of_circuit circuit] *)
     mutable est : float array;
     mutable lat : float array;
     mutable cp : float array;
@@ -317,7 +319,7 @@ module Engine = struct
 
   let stage e groups =
     Obs.with_span "criticality.engine.stage" @@ fun () ->
-    let newc, old_of_new = Rewrite.contract_mapped e.circuit groups in
+    let newc, old_of_new = Rewrite.contract_mapped e.dagv groups in
     let sd = Dag.of_circuit newc in
     let sn = Dag.n_nodes sd in
     let ep = Generator.price_epoch e.gen in

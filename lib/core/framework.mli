@@ -40,9 +40,13 @@ type report = {
   grouped : Paqoc_circuit.Circuit.t;  (** final circuit of pulse episodes *)
   latency : float;  (** critical-path latency, device dt *)
   esp : float;  (** Eq. 2 *)
-  compile_seconds : float;  (** QOC cost + search wall time *)
-  qoc_seconds : float;  (** pulse-generation part of the above *)
-  search_seconds : float;  (** criticality search part *)
+  compile_seconds : float;
+      (** model backend: modeled QOC seconds + the compile's wall time;
+          QOC backend: the wall time, in which real GRAPE already runs *)
+  qoc_seconds : float;  (** pulse-generation seconds (modeled or real) *)
+  search_seconds : float;
+      (** wall time outside QOC: the whole wall on the model backend,
+          wall minus [qoc_seconds] on the QOC backend *)
   n_groups : int;
   pulses_generated : int;
   cache_hits : int;

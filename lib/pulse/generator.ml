@@ -142,6 +142,10 @@ type t = {
           Hamiltonian and its [cache_namespace] prefixes every shared-
           cache key, so pulses never leak across devices. Defaults to
           {!Device.lattice} (empty namespace — the historical bytes) *)
+  mutable ns : string;
+      (** [Device.cache_namespace device], computed when the device is
+          set: the namespace re-renders and hashes the whole calibration,
+          far too much work to repeat on every batch *)
   replays : (string, replay) Hashtbl.t;
       (** class-tier hits taken this run, by the requesting group's key *)
   priced : (string, float) Hashtbl.t;
@@ -194,6 +198,7 @@ let create ?(retry = default_retry) ?shared backend =
     shared;
     canonical = false;
     device = Device.lattice;
+    ns = Device.cache_namespace Device.lattice;
     replays = Hashtbl.create 16;
     priced = Hashtbl.create 256;
     price_epoch = 0;
@@ -212,7 +217,11 @@ let set_shared_cache t c = locked t (fun () -> t.shared <- c)
 let shared_cache t = locked t (fun () -> t.shared)
 let set_canonical t b = locked t (fun () -> t.canonical <- b)
 let canonical_enabled t = locked t (fun () -> t.canonical)
-let set_device t d = locked t (fun () -> t.device <- d)
+let set_device t d =
+  let ns = Device.cache_namespace d in
+  locked t (fun () ->
+      t.device <- d;
+      t.ns <- ns)
 let device t = locked t (fun () -> t.device)
 
 let canonical_replays t =
@@ -486,9 +495,8 @@ type plan =
    The default device's namespace is the empty string — its cache bytes
    are the historical, pre-registry ones. Local tables always hold bare
    keys; [strip_namespace] recovers the local key from a fully-qualified
-   shared one (class records store qualified [rep_key]s). *)
-let namespace t = Device.cache_namespace t.device
-
+   shared one (class records store qualified [rep_key]s). The namespace
+   is computed once per device, in [create] and [set_device] ([t.ns]). *)
 let strip_namespace ns k =
   let p = String.length ns in
   if p = 0 then k
@@ -499,7 +507,7 @@ let strip_namespace ns k =
 (* Serial-order seed planning; call with [t.lock] held. *)
 let plan_batch t groups =
   let n = Array.length groups in
-  let ns = namespace t in
+  let ns = t.ns in
   (* in-batch providers, replace semantics like the real tables *)
   let batch_cache = Hashtbl.create (2 * n) in
   let batch_shape = Hashtbl.create (2 * n) in
@@ -911,7 +919,7 @@ let execute pool t plans =
    serial loop's side effects exactly, so accounting and tables end up
    independent of how the execution interleaved. *)
 let commit_batch t plans results =
-  let ns = namespace t in
+  let ns = t.ns in
   let outcome_of j =
     match results.(j) with Some o -> o | None -> assert false
   in

@@ -118,10 +118,13 @@ let hash d =
 
 let lattice_hash = lazy (hash lattice)
 
+(* the default device is the common case and needs no hash at all *)
 let cache_namespace d =
-  let h = hash d in
-  if String.equal h (Lazy.force lattice_hash) then ""
-  else "dev:" ^ h ^ "|"
+  if d == lattice then ""
+  else
+    let h = hash d in
+    if String.equal h (Lazy.force lattice_hash) then ""
+    else "dev:" ^ h ^ "|"
 
 let pp ppf d =
   Format.fprintf ppf "%s: %d qubits, %d edges, hash %s" d.name (n_qubits d)

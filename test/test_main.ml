@@ -26,5 +26,6 @@ let () =
       ("canon", Test_canon.suite);
       ("server", Test_server.suite);
       ("sweep", Test_sweep.suite);
-      ("device", Test_device.suite)
+      ("device", Test_device.suite);
+      ("hotpath", Test_hotpath.suite)
     ]
