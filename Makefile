@@ -151,15 +151,17 @@ doc:
 
 # Refresh the pinned goldens (test/golden/): the 17-benchmark latency
 # table, the GRAPE bit-determinism reference, the per-benchmark canonical
-# hit-rate table, the 32-point variational sweep table and the qaoa
-# pulse-IR export. Run after an intentional change to latencies, episode
-# counts, GRAPE arithmetic, the canonicalization invariants, the
-# parametric fast path or the IR writer, and commit the result; the
+# hit-rate table, the 32-point variational sweep table, the qaoa
+# pulse-IR export and the mined patterns (with the paqoc-minf table).
+# Run after an intentional change to latencies, episode counts, GRAPE
+# arithmetic, the canonicalization invariants, the parametric fast path,
+# the IR writer or the miner, and commit the result; the
 # golden tests render through the same code paths.
 update-golden:
 	dune exec test/update_golden.exe -- test/golden/latency_table.txt \
 	  test/golden/grape_amplitudes.txt test/golden/canon_hit_rates.txt \
-	  test/golden/sweep_table.txt test/golden/ir_qaoa.json
+	  test/golden/sweep_table.txt test/golden/ir_qaoa.json \
+	  test/golden/mined_patterns.txt
 
 # Worker-scaling benchmark (real GRAPE at 1/2/4 domains).
 bench-scaling:
@@ -257,10 +259,11 @@ bench-devices:
 	@python3 scripts/check_bench_schema.py BENCH_devices.json
 
 # Compile-benchmark smoke (perfbench/, BENCHMARK.json): one pass of each
-# workload, then one traced model-suite-cold run, whose stage-by-stage
-# replay must return exactly what Service.handle returns (else the run
-# exits 3). Each run's result line must report every output correct and
-# no failed request.
+# workload, then one traced model-suite-cold run (scheme M=0) and one
+# traced daemon-warm-mix run (M=inf, so the APA miner runs), whose
+# stage-by-stage replay must return exactly what Service.handle returns
+# (else the run exits 3). Each run's result line must report every
+# output correct and no failed request.
 PERFBENCH_OUT = /tmp/paqoc_perfbench_smoke.txt
 perfbench-smoke:
 	@for w in model-suite-cold daemon-warm-mix qoc-small; do \
@@ -272,6 +275,10 @@ perfbench-smoke:
 	@python3 perfbench/run.py --workload model-suite-cold --seed 1 \
 	  --seconds 0 --trace 1 > $(PERFBENCH_OUT)
 	@python3 scripts/check_perfbench_result.py model-suite-cold-traced \
+	  < $(PERFBENCH_OUT)
+	@python3 perfbench/run.py --workload daemon-warm-mix --seed 1 \
+	  --seconds 0 --trace 1 > $(PERFBENCH_OUT)
+	@python3 scripts/check_perfbench_result.py daemon-warm-mix-traced \
 	  < $(PERFBENCH_OUT)
 	@rm -f $(PERFBENCH_OUT)
 

@@ -14,7 +14,10 @@
 
     Occurrences are replaced greedily in coverage order; only occurrences
     whose node-id spans do not interleave are taken together, which keeps
-    the simultaneous contraction trivially acyclic. Each occurrence keeps
+    the simultaneous contraction trivially acyclic. The selection is
+    prefix-stable (admitting one more pattern only adds picks), so it
+    runs once over all mined patterns and [M_tuned] reads its coverage
+    per prefix. Each occurrence keeps
     its own concrete rotation angles inside the shared APA gate name —
     exactly the paper's offline (structure) / online (parameters) split. *)
 

@@ -6,6 +6,26 @@
     qubit and size caps, and keep patterns whose {e disjoint} support
     clears the threshold.
 
+    Each level tries each candidate node set once: a set reached again,
+    from another parent or another embedding, is dropped before the
+    convexity check and canonicalisation, since it would get the same
+    code. Every node is labelled once per call.
+
+    Two growth caps keep pathological circuits cheap, and both decide the
+    output when they bind:
+    {ul
+    {- {b 4000 embeddings per pattern} per level: further embeddings of a
+       code already holding 4000 are dropped (they are not grown further,
+       and they do not count toward its support);}
+    {- {b 4000 new patterns per level}: before growing each frequent
+       pattern of the previous level, the miner checks how many codes are
+       new at this level; from 4000 on, it grows no further pattern.}}
+
+    Patterns are grown in the iteration order of a per-level hash table
+    keyed by code, so which patterns and embeddings survive a binding cap
+    follows that order. The representative body of a pattern is the
+    first embedding found with its code.
+
     Angle handling follows the paper: by default rotation parameters are
     rendered {e symbolically} (angle-blind), so the QFT's
     [h]-on-[cu1]-target pattern recurs even though each CU1 carries a

@@ -4,12 +4,22 @@
     canonical string code; two occurrences of the same recurring
     sub-circuit — possibly on different qubits, possibly with their
     parallel gates recorded in different program orders — get the same
-    code. Canonicalisation enumerates the (few) topological linearisations
-    of the occurrence's sub-DAG, relabels wires by first appearance in
-    each, and keeps the lexicographically smallest rendering; operand
-    positions inside each gate preserve the control/target edge labels of
-    Fig 5, so the two "similar but not identical" blocks of the paper's
-    example get distinct codes. *)
+    code. Operand positions inside each gate preserve the control/target
+    edge labels of Fig 5, so the two "similar but not identical" blocks
+    of the paper's example get distinct codes.
+
+    {b The canonical code, exactly.} A linearisation renders as the
+    concatenation, gate by gate, of [label@w1,w2,...;], where [label] is
+    the gate's label and the [wi] are its operands' wires numbered by
+    first appearance in that linearisation. Topological orders are
+    visited depth-first, always trying the lowest free node id first, and
+    only the first 120 visited count. The code is the smallest rendering
+    (byte-wise) among those. When several of those orders render the same
+    smallest code, the one visited {e last} supplies the pattern body and
+    the occurrence's wire map. This matters for angle-blind labels, where
+    tied orders can carry different concrete angles. Past 120 orders the
+    code depends on the visit order, so two occurrences of one
+    sub-circuit with many parallel gates can get different codes. *)
 
 type t = {
   arity : int;  (** distinct wires *)
@@ -34,6 +44,30 @@ val of_nodes :
   Paqoc_circuit.Dag.t ->
   int list ->
   t * occurrence
+
+(** {1 Canonicalisation in parts}
+
+    The steps of {!of_nodes}, for the miner, which labels every node once
+    and builds the pattern only for a code it has not seen. *)
+
+(** [canonical ~node_label dag nodes] is the canonical code of the
+    sub-circuit at [nodes] (sorted, distinct) and the node order that
+    renders it. [node_label v] labels node [v].
+    @raise Invalid_argument on an empty set. *)
+val canonical :
+  node_label:(int -> string) ->
+  Paqoc_circuit.Dag.t ->
+  int array ->
+  string * int array
+
+(** [pattern_of_order dag ~code order] is the pattern whose body is
+    [order]'s gates over wires relabelled by first appearance. *)
+val pattern_of_order : Paqoc_circuit.Dag.t -> code:string -> int array -> t
+
+(** [occurrence_of_order dag nodes order] is the occurrence at [nodes]
+    whose wire map follows [order]. *)
+val occurrence_of_order :
+  Paqoc_circuit.Dag.t -> int list -> int array -> occurrence
 
 (** [to_custom p ~name] packages the canonical body as a reusable custom
     gate. *)

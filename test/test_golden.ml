@@ -13,6 +13,10 @@
      interp/fallback/resynth accounting of the frozen-plan fast path over
      the seeded qaoa sweep. Any change to the anchor grid, interpolation
      rule, fallback policy or slot pricing moves a byte here.
+   - The mined patterns: the APA miner's ranked patterns, occurrence
+     lists (by digest) and representative bodies on every suite circuit
+     and extra, under the default and the variational miner config, plus
+     the paqoc-minf latency/ESP/substitution table built from them.
 
    Intentional changes refresh the files with [make update-golden], which
    renders through the exact same code paths. *)
@@ -31,12 +35,26 @@ let golden_path = resolve "latency_table.txt"
 let grape_golden_path = resolve "grape_amplitudes.txt"
 let canon_golden_path = resolve "canon_hit_rates.txt"
 let sweep_golden_path = resolve "sweep_table.txt"
+let mined_golden_path = resolve "mined_patterns.txt"
 
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+(* the first line where two renderings part, for a failure message that
+   names the pattern or row that moved *)
+let first_diff golden computed =
+  let rec go i = function
+    | g :: gs, c :: cs ->
+      if String.equal g c then go (i + 1) (gs, cs)
+      else Printf.sprintf "line %d:\n  golden:   %s\n  computed: %s" i g c
+    | [], c :: _ -> Printf.sprintf "extra line %d: %s" i c
+    | g :: _, [] -> Printf.sprintf "missing line %d: %s" i g
+    | [], [] -> "lengths differ"
+  in
+  go 1 (String.split_on_char '\n' golden, String.split_on_char '\n' computed)
 
 let suite =
   [ slow_case "17-benchmark latency table matches the golden file" (fun () ->
@@ -75,26 +93,22 @@ let suite =
       (fun () ->
         let golden = read_file grape_golden_path in
         let computed = Grape.reference_golden () in
-        if not (String.equal golden computed) then begin
+        if not (String.equal golden computed) then
           (* name the first drifting line — the slice index and hex floats
              say exactly which amplitude moved *)
-          let gl = String.split_on_char '\n' golden
-          and cl = String.split_on_char '\n' computed in
-          let rec first_diff i = function
-            | g :: gs, c :: cs ->
-                if String.equal g c then first_diff (i + 1) (gs, cs)
-                else
-                  Printf.sprintf "line %d:\n  golden:   %s\n  computed: %s"
-                    i g c
-            | [], c :: _ -> Printf.sprintf "extra line %d: %s" i c
-            | g :: _, [] -> Printf.sprintf "missing line %d: %s" i g
-            | [], [] -> "lengths differ"
-          in
           Alcotest.failf
             "GRAPE amplitudes drifted (bitwise; run `make update-golden` \
              if intentional):@.%s"
-            (first_diff 1 (gl, cl))
-        end);
+            (first_diff golden computed));
+    slow_case "mined patterns and paqoc-minf table match the golden file"
+      (fun () ->
+        let golden = read_file mined_golden_path in
+        let computed = Paqoc_test_render.Mined_golden.render () in
+        if not (String.equal golden computed) then
+          Alcotest.failf
+            "mined patterns drifted (run `make update-golden` if \
+             intentional):@.%s"
+            (first_diff golden computed));
     slow_case "canonical hit-rate table matches the golden file" (fun () ->
         let golden = read_file canon_golden_path in
         let computed =

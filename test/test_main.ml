@@ -9,6 +9,7 @@ let () =
       ("properties", Test_properties.suite);
       ("parallel", Test_parallel.suite);
       ("mining", Test_mining.suite);
+      ("miner-oracle", Test_mining_oracle.suite);
       ("accqoc", Test_accqoc.suite);
       ("core", Test_core.suite);
       ("variational", Test_variational.suite);

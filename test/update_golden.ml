@@ -5,7 +5,8 @@
      - the GRAPE bit-determinism reference (Grape.reference_golden)
      - the canonical hit-rate table (Canon_table.render/compute)
      - the 32-point variational sweep table (Sweep_table.render/compute)
-     - the qaoa pulse-IR export (Pulse_ir.reference_golden/to_string) *)
+     - the qaoa pulse-IR export (Pulse_ir.reference_golden/to_string)
+     - the mined patterns and paqoc-minf table (Mined_golden.render) *)
 
 let write path contents =
   let tmp = path ^ ".tmp" in
@@ -15,20 +16,23 @@ let write path contents =
   Sys.rename tmp path
 
 let () =
-  let latency_path, grape_path, canon_path, sweep_path, ir_path =
+  let latency_path, grape_path, canon_path, sweep_path, ir_path, mined_path =
     match Sys.argv with
-    | [| _; latency |] -> (Some latency, None, None, None, None)
-    | [| _; latency; grape |] -> (Some latency, Some grape, None, None, None)
+    | [| _; latency |] -> (Some latency, None, None, None, None, None)
+    | [| _; latency; grape |] ->
+      (Some latency, Some grape, None, None, None, None)
     | [| _; latency; grape; canon |] ->
-      (Some latency, Some grape, Some canon, None, None)
+      (Some latency, Some grape, Some canon, None, None, None)
     | [| _; latency; grape; canon; sweep |] ->
-      (Some latency, Some grape, Some canon, Some sweep, None)
+      (Some latency, Some grape, Some canon, Some sweep, None, None)
     | [| _; latency; grape; canon; sweep; ir |] ->
-      (Some latency, Some grape, Some canon, Some sweep, Some ir)
+      (Some latency, Some grape, Some canon, Some sweep, Some ir, None)
+    | [| _; latency; grape; canon; sweep; ir; mined |] ->
+      (Some latency, Some grape, Some canon, Some sweep, Some ir, Some mined)
     | _ ->
       prerr_endline
         "usage: update_golden LATENCY_FILE [GRAPE_FILE] [CANON_FILE] \
-         [SWEEP_FILE] [IR_FILE]";
+         [SWEEP_FILE] [IR_FILE] [MINED_FILE]";
       exit 2
   in
   Option.iter
@@ -71,4 +75,11 @@ let () =
       write path (Paqoc_service.Pulse_ir.to_string ir);
       Printf.printf "wrote %s (%d instructions)\n" path
         (List.length ir.Paqoc_service.Pulse_ir.schedule))
-    ir_path
+    ir_path;
+  Option.iter
+    (fun path ->
+      let golden = Paqoc_test_render.Mined_golden.render () in
+      write path golden;
+      Printf.printf "wrote %s (%d lines)\n" path
+        (List.length (String.split_on_char '\n' golden) - 1))
+    mined_path
