@@ -1,7 +1,9 @@
 # Tier-1 gate in one command: build, tests, docs, and CLI smoke runs (one
 # clean metrics run, one fault-injected run that must still succeed via
 # the decomposed-basis fallback, one shared-cache round trip that must be
-# all hits the second time).
+# all hits the second time, and one hand-written paqoc-pulse-db v2
+# snapshot — the format the retired --db flag wrote — that --cache must
+# open, keep, migrate to v3 and answer entirely from on the second run).
 check:
 	dune build && dune runtest
 	$(MAKE) doc
@@ -19,6 +21,20 @@ check:
 	  | grep -q '/ 0 misses' \
 	  || (echo "check: warm cache run still missed" && exit 1)
 	@rm -f /tmp/paqoc_metrics.json /tmp/paqoc_trace.json /tmp/paqoc_cache.db
+	@printf 'paqoc-pulse-db v2\nK 138 0.0094085454387342633 0.99059145456126574 q 2;cx@0,1;cx@1,0;cx@0,1\n' \
+	  > /tmp/paqoc_v2.db
+	@dune exec bin/paqoc_cli.exe -- compile bv --cache /tmp/paqoc_v2.db \
+	  | grep -q '; 1 hits / ' \
+	  || (echo "check: v2 snapshot entry not served under --cache" && exit 1)
+	@head -1 /tmp/paqoc_v2.db | grep -q 'paqoc-pulse-db v3' \
+	  || (echo "check: v2 snapshot not migrated to v3" && exit 1)
+	@grep -qx 'K 138 0.0094085454387342633 0.99059145456126574 q 2;cx@0,1;cx@1,0;cx@0,1' \
+	  /tmp/paqoc_v2.db \
+	  || (echo "check: migration dropped the v2 snapshot entry" && exit 1)
+	@dune exec bin/paqoc_cli.exe -- compile bv --cache /tmp/paqoc_v2.db \
+	  | grep -q '/ 0 misses' \
+	  || (echo "check: migrated v2 snapshot still missed" && exit 1)
+	@rm -f /tmp/paqoc_v2.db
 	@rm -f /tmp/paqoc_canon.db
 	dune exec bin/paqoc_cli.exe -- compile bb84 --canonical-cache \
 	  --cache /tmp/paqoc_canon.db > /dev/null
@@ -189,9 +205,12 @@ bench-smoke:
 	@echo "bench-smoke: BENCH_grape, BENCH_cache, BENCH_serve, BENCH_sweep and BENCH_devices schemas OK"
 
 # Reference-vs-incremental search trajectory: compiles the 17-benchmark
-# suite cold and warm with both search implementations, refuses to emit
-# on divergence, and re-checks the committed BENCH_search.json schema.
-# Run after a search-loop change and commit the refreshed JSON.
+# suite cold and warm with both search implementations (the reference is
+# the test-only oracle in test/oracle), refuses to emit on divergence,
+# and re-checks the committed BENCH_search.json schema. Run after a
+# search-loop change and commit the refreshed JSON. The end-to-end
+# equivalence itself (suite rows and cache bytes, reference vs
+# Service.compile at jobs 1 and 4) is a tier-1 test in test_search.ml.
 bench-search:
 	dune exec bench/micro_main.exe -- --bench-search
 	@python3 scripts/check_bench_schema.py BENCH_search.json
@@ -204,39 +223,6 @@ bench-search:
 bench-serve:
 	dune exec bench/micro_main.exe -- --bench-serve
 	@python3 scripts/check_bench_schema.py BENCH_serve.json
-
-# End-to-end search-equivalence golden: the compile-suite table must be
-# byte-identical between --search reference and --search incremental, at
-# --jobs 1 and --jobs 4 — and so must the cache files the three cold
-# runs write. The cache-path banner line is the one permitted difference
-# (the files are named after the mode), so it is filtered before the
-# diff.
-check-search-golden:
-	@rm -f /tmp/paqoc_sg_ref.cache /tmp/paqoc_sg_inc.cache \
-	  /tmp/paqoc_sg_inc4.cache
-	@dune exec bin/paqoc_cli.exe -- compile-suite --search reference \
-	  --cache /tmp/paqoc_sg_ref.cache | grep -v '/tmp/paqoc_sg' \
-	  > /tmp/paqoc_sg_ref.txt
-	@dune exec bin/paqoc_cli.exe -- compile-suite --search incremental \
-	  --cache /tmp/paqoc_sg_inc.cache | grep -v '/tmp/paqoc_sg' \
-	  > /tmp/paqoc_sg_inc.txt
-	@dune exec bin/paqoc_cli.exe -- compile-suite --search incremental \
-	  --jobs 4 --cache /tmp/paqoc_sg_inc4.cache | grep -v '/tmp/paqoc_sg' \
-	  > /tmp/paqoc_sg_inc4.txt
-	@diff /tmp/paqoc_sg_ref.txt /tmp/paqoc_sg_inc.txt \
-	  || (echo "check-search-golden: incremental diverged from reference" \
-	      && exit 1)
-	@diff /tmp/paqoc_sg_ref.txt /tmp/paqoc_sg_inc4.txt \
-	  || (echo "check-search-golden: --jobs 4 diverged from reference" \
-	      && exit 1)
-	@cmp /tmp/paqoc_sg_ref.cache /tmp/paqoc_sg_inc.cache \
-	  || (echo "check-search-golden: cache bytes diverged" && exit 1)
-	@cmp /tmp/paqoc_sg_inc.cache /tmp/paqoc_sg_inc4.cache \
-	  || (echo "check-search-golden: --jobs 4 cache bytes diverged" && exit 1)
-	@rm -f /tmp/paqoc_sg_ref.cache /tmp/paqoc_sg_inc.cache \
-	  /tmp/paqoc_sg_inc4.cache /tmp/paqoc_sg_ref.txt /tmp/paqoc_sg_inc.txt \
-	  /tmp/paqoc_sg_inc4.txt
-	@echo "check-search-golden: reference == incremental (jobs 1 and 4)"
 
 # Variational fast-path trajectory: a 32-point qaoa sweep through the
 # frozen-plan recompile (gated at 10x the full per-iteration recompile)
@@ -287,5 +273,5 @@ bench:
 	dune exec bench/main.exe
 
 .PHONY: check check-ir check-daemon doc bench bench-scaling bench-smoke \
-  bench-search bench-serve bench-sweep bench-devices check-search-golden \
-  update-golden perfbench-smoke
+  bench-search bench-serve bench-sweep bench-devices update-golden \
+  perfbench-smoke

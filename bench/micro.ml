@@ -314,8 +314,9 @@ let run_bench_cache ?(path = "BENCH_cache.json") () =
             (Suite.transpiled e).Paqoc_topology.Transpile.physical
           in
           let gen = Gen.model_default () in
+          Gen.set_canonical gen true;
           let s0 = Cache.stats cache in
-          let r = Paqoc.compile ~cache ~canonical:true gen physical in
+          let r = Paqoc.compile ~cache gen physical in
           let s1 = Cache.stats cache in
           ( e.Suite.name,
             r.Paqoc.pulses_generated,
@@ -427,9 +428,10 @@ let run_bench_devices ?(path = "BENCH_devices.json") () =
               .Paqoc_topology.Transpile.physical
           in
           let gen = Gen.model_default () in
+          Gen.set_canonical gen true;
           Gen.set_device gen dev;
           let s0 = Cache.stats cache in
-          let r = Paqoc.compile ~cache ~canonical:true gen physical in
+          let r = Paqoc.compile ~cache gen physical in
           let s1 = Cache.stats cache in
           ( synth + r.Paqoc.pulses_generated,
             hits + (s1.Cache.hits - s0.Cache.hits),

@@ -2,8 +2,9 @@
 
    Compiles all 17 Table I benchmarks with both criticality-search
    implementations — the reference loop (one full analysis per merge
-   attempt, the "before" phase) and the incremental engine (dirty-region
-   propagation, the "after" phase) — each through its own journaled
+   attempt, the "before" phase; the test-only oracle in test/oracle) and
+   the incremental engine (dirty-region propagation, the "after" phase,
+   [Paqoc.compile]) — each through its own journaled
    shared cache, cold then warm. The model backend keeps QOC time out of
    the picture, so the walls are pure search cost. The headline number
    is the warm-suite speedup (reference warm wall over incremental warm
@@ -16,6 +17,17 @@ module Gen = Paqoc_pulse.Generator
 module Suite = Paqoc_benchmarks.Suite
 module Cache = Paqoc_pulse.Cache
 module Clock = Paqoc_obs.Clock
+module Oracle = Paqoc_test_oracle.Oracle
+
+(* One benchmark's compile in either phase: final latency and search
+   statistics. *)
+let reference cache physical =
+  let o = Oracle.pipeline ~cache (Gen.model_default ()) physical in
+  (o.Oracle.latency, o.Oracle.stats)
+
+let incremental cache physical =
+  let r = Paqoc.compile ~cache (Gen.model_default ()) physical in
+  (r.Paqoc.latency, r.Paqoc.merge_stats)
 
 type pass = {
   phase : string;  (** "before" (reference) / "after" (incremental) *)
@@ -27,7 +39,7 @@ type pass = {
   per_benchmark : (string * float * float) list;  (** name, latency, wall *)
 }
 
-let run_pass ~search ~phase ~temp cache =
+let run_pass ~compile ~phase ~temp cache =
   let t0 = Clock.now_s () in
   let per =
     List.map
@@ -36,7 +48,7 @@ let run_pass ~search ~phase ~temp cache =
           (Suite.transpiled e).Paqoc_topology.Transpile.physical
         in
         let b0 = Clock.now_s () in
-        let r = Paqoc.compile ~search ~cache (Gen.model_default ()) physical in
+        let r = compile cache physical in
         (e.Suite.name, r, Clock.now_s () -. b0))
       Suite.all
   in
@@ -47,13 +59,11 @@ let run_pass ~search ~phase ~temp cache =
     { phase;
       temp;
       wall_s = wall;
-      suite_latency = sumf (fun r -> r.Paqoc.latency);
-      iterations =
-        sumi (fun r -> r.Paqoc.merge_stats.Paqoc.Merger.iterations);
+      suite_latency = sumf fst;
+      iterations = sumi (fun (_, st) -> st.Paqoc.Merger.iterations);
       merges_committed =
-        sumi (fun r -> r.Paqoc.merge_stats.Paqoc.Merger.merges_committed);
-      per_benchmark =
-        List.map (fun (name, r, w) -> (name, r.Paqoc.latency, w)) per
+        sumi (fun (_, st) -> st.Paqoc.Merger.merges_committed);
+      per_benchmark = List.map (fun (name, (l, _), w) -> (name, l, w)) per
     }
   in
   Printf.printf
@@ -63,14 +73,14 @@ let run_pass ~search ~phase ~temp cache =
     phase temp p.wall_s p.suite_latency p.merges_committed p.iterations;
   p
 
-let run_phase ~search ~phase =
+let run_phase ~compile ~phase =
   let cache_path = Filename.temp_file "paqoc_bench_search" ".cache" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove cache_path with Sys_error _ -> ())
     (fun () ->
       Cache.with_file cache_path (fun cache ->
-          let cold = run_pass ~search ~phase ~temp:"cold" cache in
-          let warm = run_pass ~search ~phase ~temp:"warm" cache in
+          let cold = run_pass ~compile ~phase ~temp:"cold" cache in
+          let warm = run_pass ~compile ~phase ~temp:"warm" cache in
           (cold, warm)))
 
 let bprint_pass buf i (p : pass) =
@@ -91,8 +101,8 @@ let run_bench_search ?(path = "BENCH_search.json") () =
   Printf.printf
     "\n%s\nSEARCH  reference vs incremental suite compile (17 benchmarks)\n%s\n"
     (String.make 78 '=') (String.make 78 '=');
-  let ref_cold, ref_warm = run_phase ~search:`Reference ~phase:"before" in
-  let inc_cold, inc_warm = run_phase ~search:`Incremental ~phase:"after" in
+  let ref_cold, ref_warm = run_phase ~compile:reference ~phase:"before" in
+  let inc_cold, inc_warm = run_phase ~compile:incremental ~phase:"after" in
   (* the two searches must be the same search: equal latency trajectories *)
   List.iter2
     (fun (name, l_ref, _) (_, l_inc, _) ->

@@ -16,7 +16,6 @@ open Cmdliner
 module Circuit = Paqoc_circuit.Circuit
 module Gate = Paqoc_circuit.Gate
 module Qasm = Paqoc_circuit.Qasm
-module Coupling = Paqoc_topology.Coupling
 module Device = Paqoc_topology.Device
 module Transpile = Paqoc_topology.Transpile
 module Gen = Paqoc_pulse.Generator
@@ -25,9 +24,6 @@ module Protocol = Paqoc_pulse.Protocol
 module Server = Paqoc_pulse.Server
 module Service = Paqoc_service.Service
 module Suite = Paqoc_benchmarks.Suite
-module Accqoc = Paqoc_accqoc.Accqoc
-module Slicer = Paqoc_accqoc.Slicer
-module Apa = Paqoc_mining.Apa
 module Miner = Paqoc_mining.Miner
 module Obs = Paqoc_obs.Obs
 module Clock = Paqoc_obs.Clock
@@ -132,8 +128,8 @@ let grid_of_spec = function
       exit 1)
 
 (* --device accepts a registry device name first (lattice, heavy-hex,
-   square, ring), then a bare RxC grid spec. The wire carries the name
-   (or the grid dimensions); the in-process paths resolve through
+   square, ring), then a bare RxC grid spec. The request carries the name
+   (or the grid dimensions); both transports resolve it through
    Service.resolve_device so the CLI and the daemon cannot disagree. *)
 let device_spec_parts spec =
   match Device.find spec with
@@ -142,17 +138,12 @@ let device_spec_parts spec =
     let rows, cols = grid_of_spec spec in
     (None, rows, cols)
 
-let resolve_device spec ~drift_seed ~drift_epoch =
+let check_drift ~drift_seed ~drift_epoch =
   if drift_seed < 0 || drift_epoch < 0 then begin
     Printf.eprintf "error: --drift-seed/--drift-epoch must be >= 0 (got %d/%d)\n"
       drift_seed drift_epoch;
     exit 1
-  end;
-  let name, rows, cols = device_spec_parts spec in
-  try Service.resolve_device ~device:name ~rows ~cols ~drift_seed ~drift_epoch
-  with Failure msg ->
-    Printf.eprintf "error: %s\n" msg;
-    exit 1
+  end
 
 (* Printed only when the resolved device differs physically from the
    paper's lattice, so default-device output stays byte-identical. *)
@@ -160,6 +151,28 @@ let print_device dev =
   if Device.cache_namespace dev <> "" then
     Printf.printf "device          : %s (hash %s)\n" (Device.name dev)
       (Device.hash dev)
+
+let device_arg =
+  Arg.(
+    value & opt string "5x5"
+    & info [ "d"; "device" ] ~docv:"DEV"
+        ~doc:
+          "Target device: a registry name ($(b,lattice), $(b,heavy-hex), \
+           $(b,square), $(b,ring)) or a bare RxC grid spec, e.g. 5x5 (the \
+           paper's platform) or 2x4. Non-default devices namespace every \
+           shared-cache key with their content hash, so pulses never leak \
+           across devices.")
+
+let backend_arg =
+  Arg.(
+    value
+    & opt (enum [ ("model", `Model); ("qoc", `Qoc) ]) `Model
+    & info [ "backend" ] ~docv:"B"
+        ~doc:
+          "Pulse engine: $(b,model) (analytic latency model, instant; no \
+           waveforms in an exported IR) or $(b,qoc) (real GRAPE searches, \
+           slow, small circuits only; an exported IR carries the sampled \
+           waveforms and is self-verifying).")
 
 let drift_seed_arg =
   Arg.(
@@ -193,9 +206,10 @@ let cache_arg =
         ~doc:
           "Shared cross-run pulse cache, a journaled paqoc-pulse-db v3 \
            file: created if missing, consulted before any synthesis, and \
-           appended to (crash-safely) as new pulses are priced. Unlike \
-           $(b,--db), entries become durable as they are generated and \
-           one cache file can back many compilations.")
+           appended to (crash-safely) as new pulses are priced; one cache \
+           file can back many compilations. Older v1/v2 pulse-database \
+           snapshots open here too and are rewritten as v3 on close. \
+           Fallback pulses are never persisted.")
 
 let canonical_arg =
   Arg.(
@@ -213,9 +227,11 @@ let canonical_arg =
            counters and tables are identical to previous releases. See \
            docs/canonicalization.md.")
 
+(* Returns the work's result and the "pulse cache" summary line ("" without
+   a cache), which each subcommand prints where its report wants it. *)
 let with_cache cache_file f =
   match cache_file with
-  | None -> f None
+  | None -> (f None, "")
   | Some path -> (
     try
       Paqoc_pulse.Cache.with_file path (fun c ->
@@ -231,51 +247,17 @@ let with_cache cache_file f =
             (fun () ->
               let r = f (Some c) in
               let s = Paqoc_pulse.Cache.stats c in
-              Printf.printf
-                "pulse cache     : %s (%d entries; %d hits / %d misses, %d \
-                 published)\n"
-                path
-                (Paqoc_pulse.Cache.size c)
-                s.Paqoc_pulse.Cache.hits s.Paqoc_pulse.Cache.misses
-                s.Paqoc_pulse.Cache.publishes;
-              r))
+              ( r,
+                Printf.sprintf
+                  "pulse cache     : %s (%d entries; %d hits / %d misses, \
+                   %d published)\n"
+                  path
+                  (Paqoc_pulse.Cache.size c)
+                  s.Paqoc_pulse.Cache.hits s.Paqoc_pulse.Cache.misses
+                  s.Paqoc_pulse.Cache.publishes )))
     with Failure msg ->
       Printf.eprintf "error: %s\n" msg;
       exit 1)
-
-(* One compilation under a named scheme; shared by compile and
-   compile-suite. *)
-let run_scheme scheme ~max_n ~top_k ~jobs ?(search = `Incremental) ?cache
-    ?deadline gen physical =
-  match scheme with
-  | `Acc3 | `Acc5 ->
-    (* the AccQOC baseline has no stage-boundary deadline plumbing;
-       enforce the budget at its entry at least *)
-    (match deadline with
-    | Some d when Clock.now_s () > d -> raise Protocol.Deadline_exceeded
-    | _ -> ());
-    let slicer =
-      if scheme = `Acc3 then Slicer.accqoc_n3d3 else Slicer.accqoc_n3d5
-    in
-    let r = Accqoc.compile ~slicer ~jobs ?cache gen physical in
-    ( r.Accqoc.latency, r.Accqoc.esp, r.Accqoc.compile_seconds,
-      r.Accqoc.n_groups, r.Accqoc.fallbacks, r.Accqoc.grouped )
-  | (`M0 | `Mtuned | `Minf) as m ->
-    let mode =
-      match m with
-      | `M0 -> Apa.M_zero
-      | `Mtuned -> Apa.M_tuned
-      | `Minf -> Apa.M_inf
-    in
-    let scheme =
-      { Paqoc.paqoc_m0 with
-        apa_mode = mode;
-        merger = { Paqoc.Merger.default_config with max_n; top_k }
-      }
-    in
-    let r = Paqoc.compile ~scheme ~jobs ~search ?cache ?deadline gen physical in
-    ( r.Paqoc.latency, r.Paqoc.esp, r.Paqoc.compile_seconds,
-      r.Paqoc.n_groups, r.Paqoc.fallbacks, r.Paqoc.grouped )
 
 (* What the printed compile cost measures. On the model backend the QOC
    time is modeled. On the QOC backend PAQOC reports the compile's wall
@@ -296,10 +278,6 @@ let proto_scheme = function
   | `Minf -> Protocol.Minf
   | `Acc3 -> Protocol.Acc3
   | `Acc5 -> Protocol.Acc5
-
-let proto_search = function
-  | `Incremental -> Protocol.Incremental
-  | `Reference -> Protocol.Reference
 
 let proto_backend = function
   | `Model -> Protocol.Model
@@ -382,18 +360,73 @@ let scheme_arg =
           "Compilation scheme: paqoc-m0, paqoc-mtuned, paqoc-minf, \
            accqoc-n3d3 or accqoc-n3d5.")
 
-let search_arg =
-  Arg.(
-    value
-    & opt (enum [ ("incremental", `Incremental); ("reference", `Reference) ])
-        `Incremental
-    & info [ "search" ] ~docv:"IMPL"
-        ~doc:
-          "Criticality-search implementation: $(b,incremental) (default; \
-           the engine-backed fast path) or $(b,reference) (the original \
-           full-reanalysis loop). Both produce identical circuits and \
-           tables — the switch exists so the equivalence is checkable \
-           end to end.")
+(* ------------------------------------------------------------------ *)
+(* One compile path                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The one compile-request builder, shared by compile, compile-suite and
+   export-ir on both transports. *)
+let compile_request ~scheme ~backend ~device ~drift_seed ~drift_epoch ~jobs
+    ~canonical ?(max_n = Protocol.default_compile.Protocol.max_n)
+    ?(top_k = Protocol.default_compile.Protocol.top_k) ?deadline_s circuit =
+  let dev_name, rows, cols = device_spec_parts device in
+  { Protocol.circuit;
+    scheme = proto_scheme scheme;
+    backend = proto_backend backend;
+    rows;
+    cols;
+    max_n;
+    top_k;
+    jobs;
+    canonical;
+    device = dev_name;
+    drift_seed;
+    drift_epoch;
+    deadline_s
+  }
+
+(* An in-process compile runs the daemon's path, Service.compile, against
+   the optional --cache file; returns the compile and the cache summary
+   line. A blown budget exits 124, and a refused request exits 1 with
+   Service's message, as under --connect. *)
+let compile_locally ?retry ~deadline cache_file req =
+  match
+    with_cache cache_file (fun cache ->
+        Service.compile ?cache ?retry ~deadline req)
+  with
+  | r -> r
+  | exception Protocol.Deadline_exceeded ->
+    Printf.eprintf "error: deadline exceeded\n";
+    exit 124
+  | exception Failure msg ->
+    Printf.eprintf "error: %s\n" msg;
+    exit 1
+
+let ir_of_compiled (c : Service.compiled) =
+  Pulse_ir.of_report ~device:c.Service.device ~gen:c.Service.gen
+    ~grouped:c.Service.grouped ~latency:c.Service.result.Protocol.latency
+    ~esp:c.Service.result.Protocol.esp
+
+(* The compile report, one printer for both transports. [local] prints
+   the in-process-only lines that sit between the transpile line and the
+   figures (device, pulse cache). *)
+let print_result ?(local = ignore) input label (r : Protocol.compile_result) =
+  Printf.printf
+    "transpiled %s: %d logical qubits -> %d-qubit device, %d physical gates \
+     (%d swaps inserted)\n"
+    input r.Protocol.logical_qubits r.Protocol.device_qubits
+    r.Protocol.physical_gates r.Protocol.swaps_added;
+  local ();
+  Printf.printf "circuit latency : %.0f dt\n" r.Protocol.latency;
+  Printf.printf "estimated ESP   : %.4f\n" r.Protocol.esp;
+  Printf.printf "compile cost    : %.1f s (%s)\n" r.Protocol.compile_seconds
+    label;
+  Printf.printf "pulse episodes  : %d\n" r.Protocol.episodes;
+  if r.Protocol.fallbacks > 0 then
+    Printf.printf
+      "fallback groups : %d (QOC failed; decomposed default-basis pulses, \
+       latency penalty included above)\n"
+      r.Protocol.fallbacks
 
 (* ------------------------------------------------------------------ *)
 (* compile                                                             *)
@@ -405,17 +438,6 @@ let compile_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"CIRCUIT" ~doc:"QASM file or built-in benchmark name.")
-  in
-  let device =
-    Arg.(
-      value & opt string "5x5"
-      & info [ "d"; "device" ] ~docv:"DEV"
-          ~doc:
-            "Target device: a registry name ($(b,lattice), \
-             $(b,heavy-hex), $(b,square), $(b,ring)) or a bare RxC grid \
-             spec, e.g. 5x5 (the paper's platform) or 2x4. Non-default \
-             devices namespace every shared-cache key with their content \
-             hash, so pulses never leak across devices.")
   in
   let max_n =
     Arg.(
@@ -438,24 +460,7 @@ let compile_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Worker domains for parallel pulse generation (deterministic: \
-             any N produces the same schedule and pulse database as N=1).")
-  in
-  let db =
-    Arg.(
-      value & opt (some string) None
-      & info [ "db" ] ~docv:"FILE"
-          ~doc:
-            "Pulse-database file: loaded before compiling (if it exists) \
-             and saved afterwards — the paper's persistent offline table.")
-  in
-  let backend =
-    Arg.(
-      value
-      & opt (enum [ ("model", `Model); ("qoc", `Qoc) ]) `Model
-      & info [ "backend" ] ~docv:"B"
-          ~doc:
-            "Pulse engine: $(b,model) (analytic latency model, instant) or \
-             $(b,qoc) (real GRAPE searches; slow, small circuits only).")
+             any N produces the same schedule and cache bytes as N=1).")
   in
   let retries =
     Arg.(
@@ -497,26 +502,9 @@ let compile_cmd =
              waveforms and is self-verifying — see $(b,paqoc \
              export-ir) and docs/pulse-ir.md). In-process only.")
   in
-  let print_result (r : Protocol.compile_result) input label =
-    Printf.printf
-      "transpiled %s: %d logical qubits -> %d-qubit device, %d physical \
-       gates (%d swaps inserted)\n"
-      input r.Protocol.logical_qubits r.Protocol.device_qubits
-      r.Protocol.physical_gates r.Protocol.swaps_added;
-    Printf.printf "circuit latency : %.0f dt\n" r.Protocol.latency;
-    Printf.printf "estimated ESP   : %.4f\n" r.Protocol.esp;
-    Printf.printf "compile cost    : %.1f s (%s)\n" r.Protocol.compile_seconds
-      label;
-    Printf.printf "pulse episodes  : %d\n" r.Protocol.episodes;
-    if r.Protocol.fallbacks > 0 then
-      Printf.printf
-        "fallback groups : %d (QOC failed; decomposed default-basis pulses, \
-         latency penalty included above)\n"
-        r.Protocol.fallbacks
-  in
-  let run input scheme search device drift_seed drift_epoch max_n top_k
-      show_groups jobs db cache_file canonical backend retries task_seconds
-      connect deadline_s emit_ir inject metrics trace =
+  let run input scheme device drift_seed drift_epoch max_n top_k show_groups
+      jobs cache_file canonical backend retries task_seconds connect
+      deadline_s emit_ir inject metrics trace =
     if jobs < 1 then begin
       Printf.eprintf "error: --jobs must be >= 1 (got %d)\n" jobs;
       exit 1
@@ -525,139 +513,61 @@ let compile_cmd =
       Printf.eprintf "error: --retries must be >= 1 (got %d)\n" retries;
       exit 1
     end;
+    check_drift ~drift_seed ~drift_epoch;
+    let req =
+      compile_request ~scheme ~backend ~device ~drift_seed ~drift_epoch ~jobs
+        ~canonical ~max_n ~top_k ?deadline_s (proto_circuit input)
+    in
+    let label = cost_label scheme backend in
     match connect with
     | Some sock ->
       reject_with_connect
-        [ ("--db", db <> None); ("--cache", cache_file <> None);
-          ("--show-groups", show_groups); ("--inject", inject <> None);
-          ("--emit-ir", emit_ir <> None);
+        [ ("--cache", cache_file <> None); ("--show-groups", show_groups);
+          ("--inject", inject <> None); ("--emit-ir", emit_ir <> None);
           ("--retries", retries <> Gen.default_retry.Gen.max_attempts);
           ("--task-seconds", task_seconds <> None) ];
       with_observability ~metrics ~trace @@ fun () ->
-      let dev_name, rows, cols = device_spec_parts device in
-      let req =
-        { Protocol.circuit = proto_circuit input;
-          scheme = proto_scheme scheme;
-          search = proto_search search;
-          backend = proto_backend backend;
-          rows;
-          cols;
-          max_n;
-          top_k;
-          jobs;
-          canonical;
-          device = dev_name;
-          drift_seed;
-          drift_epoch;
-          deadline_s
-        }
-      in
       (try
          Server.with_connection sock (fun fd ->
-             print_result (rpc_compile fd req) input
-               (cost_label scheme backend))
+             print_result input label (rpc_compile fd req))
        with Failure msg ->
          Printf.eprintf "error: %s\n" msg;
          exit 1)
     | None -> (
       arm_injection inject;
       with_observability ~metrics ~trace @@ fun () ->
-      let logical = load_circuit input in
-      let dev = resolve_device device ~drift_seed ~drift_epoch in
-      let coupling = Device.coupling dev in
-      let t = Transpile.run ~coupling logical in
-      let physical = t.Transpile.physical in
-      Printf.printf
-        "transpiled %s: %d logical qubits -> %d-qubit device, %d physical \
-         gates (%d swaps inserted)\n"
-        input logical.Circuit.n_qubits
-        (Coupling.n_qubits coupling)
-        (Circuit.n_gates physical) t.Transpile.swaps_added;
-      print_device dev;
       let retry =
-        { Gen.default_retry with
-          Gen.max_attempts = retries;
-          Gen.task_seconds
-        }
+        { Gen.default_retry with Gen.max_attempts = retries; task_seconds }
       in
-      let gen =
-        match backend with
-        | `Model -> Gen.model_default ~retry ()
-        | `Qoc -> Gen.qoc_default ~retry ()
-      in
-      Gen.set_canonical gen canonical;
-      Gen.set_device gen dev;
-      (match db with
-      | Some file when Sys.file_exists file -> (
-        try
-          Gen.load_database gen file;
-          Printf.printf "pulse database: loaded %d entries from %s\n"
-            (Gen.database_size gen) file
-        with Failure msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1)
-      | _ -> ());
       let deadline = Option.map (fun s -> Clock.now_s () +. s) deadline_s in
-      let latency, esp, seconds, groups, fallbacks, grouped =
-        match
-          with_cache cache_file (fun cache ->
-              run_scheme scheme ~max_n ~top_k ~jobs ~search ?cache ?deadline
-                gen physical)
-        with
-        | r -> r
-        | exception Protocol.Deadline_exceeded ->
-          Printf.eprintf "error: deadline exceeded\n";
-          exit 124
-      in
-      Printf.printf "circuit latency : %.0f dt\n" latency;
-      Printf.printf "estimated ESP   : %.4f\n" esp;
-      Printf.printf "compile cost    : %.1f s (%s)\n" seconds
-        (cost_label scheme backend);
-      Printf.printf "pulse episodes  : %d\n" groups;
-      if fallbacks > 0 then
-        Printf.printf
-          "fallback groups : %d (QOC failed; decomposed default-basis \
-           pulses, latency penalty included above)\n"
-          fallbacks;
+      let c, cache_line = compile_locally ~retry ~deadline cache_file req in
+      print_result input label c.Service.result ~local:(fun () ->
+          print_device c.Service.device;
+          print_string cache_line);
       if show_groups then
         List.iteri
           (fun i (g : Gate.app) ->
             Printf.printf "  group %3d: %s\n" i (Gate.app_to_string g))
-          grouped.Circuit.gates;
-      (match emit_ir with
+          c.Service.grouped.Circuit.gates;
+      match emit_ir with
       | None -> ()
       | Some file -> (
         try
-          let ir =
-            Pulse_ir.of_report ~device:dev ~gen ~grouped ~latency ~esp
-          in
+          let ir = ir_of_compiled c in
           Pulse_ir.save ir file;
           Printf.printf "pulse IR        : %s (%d instructions)\n" file
             (List.length ir.Pulse_ir.schedule)
         with Failure msg ->
           Printf.eprintf "error: %s\n" msg;
-          exit 1));
-      match db with
-      | Some file -> (
-        try
-          Gen.save_database gen file;
-          Printf.printf "pulse database: saved %d entries to %s\n"
-            (Gen.database_size gen) file
-        with Failure msg ->
-          (* the save is atomic, so a failure (I/O or injected) leaves any
-             existing database intact; report it and fail the run *)
-          Printf.eprintf "error: %s\n" msg;
-          exit 1)
-      | None -> ())
+          exit 1))
   in
   Cmd.v
     (Cmd.info "compile" ~doc:"Transpile and compile a circuit to a pulse schedule.")
     Term.(
-      const run $ input $ scheme_arg $ search_arg $ device $ drift_seed_arg
-      $ drift_epoch_arg $ max_n $ top_k $ show_groups $ jobs $ db
-      $ cache_arg $ canonical_arg $ backend $ retries $ task_seconds
-      $ connect_arg $ deadline_arg $ emit_ir_arg $ inject_arg $ metrics_arg
-      $ trace_arg)
+      const run $ input $ scheme_arg $ device_arg $ drift_seed_arg
+      $ drift_epoch_arg $ max_n $ top_k $ show_groups $ jobs $ cache_arg
+      $ canonical_arg $ backend_arg $ retries $ task_seconds $ connect_arg
+      $ deadline_arg $ emit_ir_arg $ inject_arg $ metrics_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* compile-suite                                                       *)
@@ -669,15 +579,6 @@ let compile_cmd =
    fraction of its pulse lookups answered by earlier compilations (or a
    previous run of the suite, when --cache names an existing file). *)
 let compile_suite_cmd =
-  let device =
-    Arg.(
-      value & opt string "5x5"
-      & info [ "d"; "device" ] ~docv:"DEV"
-          ~doc:
-            "Target device: a registry name ($(b,lattice), \
-             $(b,heavy-hex), $(b,square), $(b,ring)) or a bare RxC grid \
-             spec, e.g. 5x5 (the paper's platform) or 2x4.")
-  in
   let jobs =
     Arg.(
       value & opt int 1
@@ -687,42 +588,16 @@ let compile_suite_cmd =
              any N produces the same schedules and the same cache bytes \
              as N=1).")
   in
-  let backend =
-    Arg.(
-      value
-      & opt (enum [ ("model", `Model); ("qoc", `Qoc) ]) `Model
-      & info [ "backend" ] ~docv:"B"
-          ~doc:
-            "Pulse engine: $(b,model) (analytic latency model, instant) or \
-             $(b,qoc) (real GRAPE searches; slow, small circuits only).")
-  in
-  let run scheme search device drift_seed drift_epoch jobs cache_file
-      canonical backend connect inject metrics trace =
+  let run scheme device drift_seed drift_epoch jobs cache_file canonical
+      backend connect inject metrics trace =
     if jobs < 1 then begin
       Printf.eprintf "error: --jobs must be >= 1 (got %d)\n" jobs;
       exit 1
     end;
-    if drift_seed < 0 || drift_epoch < 0 then begin
-      Printf.eprintf
-        "error: --drift-seed/--drift-epoch must be >= 0 (got %d/%d)\n"
-        drift_seed drift_epoch;
-      exit 1
-    end;
-    let dev_name, rows, cols = device_spec_parts device in
+    check_drift ~drift_seed ~drift_epoch;
     let mk_req (e : Suite.entry) =
-      { Protocol.default_compile with
-        Protocol.circuit = Protocol.Benchmark e.Suite.name;
-        scheme = proto_scheme scheme;
-        search = proto_search search;
-        backend = proto_backend backend;
-        rows;
-        cols;
-        jobs;
-        canonical;
-        device = dev_name;
-        drift_seed;
-        drift_epoch
-      }
+      compile_request ~scheme ~backend ~device ~drift_seed ~drift_epoch ~jobs
+        ~canonical (Protocol.Benchmark e.Suite.name)
     in
     (* both paths print through Service's formatters from the same
        result record, so the table bytes cannot depend on the transport *)
@@ -757,13 +632,16 @@ let compile_suite_cmd =
     | None ->
       arm_injection inject;
       with_observability ~metrics ~trace @@ fun () ->
-      with_cache cache_file @@ fun cache ->
-      Printf.printf "compiling %d benchmarks on %s (jobs %d%s)\n"
-        (List.length Suite.all) device jobs
-        (match cache_file with
-        | Some p -> Printf.sprintf ", cache %s" p
-        | None -> ", no cache");
-      print_table (fun e -> Service.handle ?cache ~deadline:None (mk_req e))
+      let (), cache_line =
+        with_cache cache_file @@ fun cache ->
+        Printf.printf "compiling %d benchmarks on %s (jobs %d%s)\n"
+          (List.length Suite.all) device jobs
+          (match cache_file with
+          | Some p -> Printf.sprintf ", cache %s" p
+          | None -> ", no cache");
+        print_table (fun e -> Service.handle ?cache ~deadline:None (mk_req e))
+      in
+      print_string cache_line
   in
   Cmd.v
     (Cmd.info "compile-suite"
@@ -771,9 +649,9 @@ let compile_suite_cmd =
          "Compile every Table I benchmark against one shared pulse cache \
           and report per-benchmark cache hit rates.")
     Term.(
-      const run $ scheme_arg $ search_arg $ device $ drift_seed_arg
-      $ drift_epoch_arg $ jobs $ cache_arg $ canonical_arg $ backend
-      $ connect_arg $ inject_arg $ metrics_arg $ trace_arg)
+      const run $ scheme_arg $ device_arg $ drift_seed_arg $ drift_epoch_arg
+      $ jobs $ cache_arg $ canonical_arg $ backend_arg $ connect_arg
+      $ inject_arg $ metrics_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* compile-sweep                                                       *)
@@ -833,15 +711,6 @@ let compile_sweep_cmd =
       & info [ "anchors" ] ~docv:"N"
           ~doc:"Seeded anchor angles per parameter slot (>= 2).")
   in
-  let device =
-    Arg.(
-      value & opt string "5x5"
-      & info [ "d"; "device" ] ~docv:"DEV"
-          ~doc:
-            "Target device: a registry name ($(b,lattice), \
-             $(b,heavy-hex), $(b,square), $(b,ring)) or a bare RxC grid \
-             spec, e.g. 5x5 (the paper's platform) or 2x4.")
-  in
   let jobs =
     Arg.(
       value & opt int 1
@@ -849,15 +718,6 @@ let compile_sweep_cmd =
           ~doc:
             "Worker domains for the freeze's anchor batch (deterministic: \
              any N produces the same plan bytes as N=1).")
-  in
-  let backend =
-    Arg.(
-      value
-      & opt (enum [ ("model", `Model); ("qoc", `Qoc) ]) `Model
-      & info [ "backend" ] ~docv:"B"
-          ~doc:
-            "Pulse engine: $(b,model) (analytic latency model, instant) or \
-             $(b,qoc) (real GRAPE searches; slow, small circuits only).")
   in
   let plan_arg =
     Arg.(
@@ -960,12 +820,7 @@ let compile_sweep_cmd =
       Printf.eprintf "error: --jobs must be >= 1 (got %d)\n" jobs;
       exit 1
     end;
-    if drift_seed < 0 || drift_epoch < 0 then begin
-      Printf.eprintf
-        "error: --drift-seed/--drift-epoch must be >= 0 (got %d/%d)\n"
-        drift_seed drift_epoch;
-      exit 1
-    end;
+    check_drift ~drift_seed ~drift_epoch;
     if anchors < 2 then begin
       Printf.eprintf "error: --anchors must be >= 2 (got %d)\n" anchors;
       exit 1
@@ -1015,28 +870,31 @@ let compile_sweep_cmd =
        with Failure msg ->
          Printf.eprintf "error: %s\n" msg;
          exit 1)
-    | None -> (
+    | None ->
       arm_injection inject;
       with_observability ~metrics ~trace @@ fun () ->
-      with_cache cache_file @@ fun cache ->
-      Printf.printf "sweeping %s on %s (%d iterations, tol %g%s)\n" input
-        device (List.length angles) interp_tol
-        (match plan with
-        | Some p -> Printf.sprintf ", plan %s" p
-        | None -> "");
-      let deadline = Option.map (fun s -> Clock.now_s () +. s) deadline_s in
-      match Service.sweep_handle ?cache ?plan_path:plan ~deadline req with
-      | s -> print_sweep s
-      | exception Protocol.Deadline_exceeded ->
-        Printf.eprintf "error: deadline exceeded\n";
-        exit 124
-      | exception Paqoc.Variational.Unbound_parameters missing ->
-        Printf.eprintf "error: sweep bindings miss plan parameters: %s\n"
-          (String.concat ", " missing);
-        exit 1
-      | exception Failure msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1)
+      let (), cache_line =
+        with_cache cache_file @@ fun cache ->
+        Printf.printf "sweeping %s on %s (%d iterations, tol %g%s)\n" input
+          device (List.length angles) interp_tol
+          (match plan with
+          | Some p -> Printf.sprintf ", plan %s" p
+          | None -> "");
+        let deadline = Option.map (fun s -> Clock.now_s () +. s) deadline_s in
+        match Service.sweep_handle ?cache ?plan_path:plan ~deadline req with
+        | s -> print_sweep s
+        | exception Protocol.Deadline_exceeded ->
+          Printf.eprintf "error: deadline exceeded\n";
+          exit 124
+        | exception Paqoc.Variational.Unbound_parameters missing ->
+          Printf.eprintf "error: sweep bindings miss plan parameters: %s\n"
+            (String.concat ", " missing);
+          exit 1
+        | exception Failure msg ->
+          Printf.eprintf "error: %s\n" msg;
+          exit 1
+      in
+      print_string cache_line
   in
   Cmd.v
     (Cmd.info "compile-sweep"
@@ -1047,17 +905,18 @@ let compile_sweep_cmd =
           to real synthesis.")
     Term.(
       const run $ input $ sweep_n $ seed $ angles_file $ interp_tol
-      $ anchors $ device $ drift_seed_arg $ drift_epoch_arg $ jobs
-      $ backend $ cache_arg $ plan_arg $ connect_arg $ deadline_arg
+      $ anchors $ device_arg $ drift_seed_arg $ drift_epoch_arg $ jobs
+      $ backend_arg $ cache_arg $ plan_arg $ connect_arg $ deadline_arg
       $ inject_arg $ metrics_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* export-ir                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Compile in-process and export the pulse program as paqoc-ir v1. The
-   subcommand form of compile's --emit-ir, with a --check pass that
-   re-reads the written file and re-simulates every waveform. *)
+(* Compile in-process (through Service.compile, like compile) and export
+   the pulse program as paqoc-ir v1. The subcommand form of compile's
+   --emit-ir, with a --check pass that re-reads the written file and
+   re-simulates every waveform. *)
 let export_ir_cmd =
   let input =
     Arg.(
@@ -1071,15 +930,6 @@ let export_ir_cmd =
       & pos 1 (some string) None
       & info [] ~docv:"FILE" ~doc:"Output paqoc-ir v1 JSON file.")
   in
-  let device =
-    Arg.(
-      value & opt string "5x5"
-      & info [ "d"; "device" ] ~docv:"DEV"
-          ~doc:
-            "Target device: a registry name ($(b,lattice), \
-             $(b,heavy-hex), $(b,square), $(b,ring)) or a bare RxC grid \
-             spec.")
-  in
   let jobs =
     Arg.(
       value & opt int 1
@@ -1087,16 +937,6 @@ let export_ir_cmd =
           ~doc:
             "Worker domains for pulse generation (deterministic: any N \
              exports byte-identical IR).")
-  in
-  let backend =
-    Arg.(
-      value
-      & opt (enum [ ("model", `Model); ("qoc", `Qoc) ]) `Model
-      & info [ "backend" ] ~docv:"B"
-          ~doc:
-            "Pulse engine: $(b,model) (prices only, no waveforms in the \
-             IR) or $(b,qoc) (real GRAPE; the IR carries sampled \
-             waveforms and is self-verifying).")
   in
   let check =
     Arg.(
@@ -1114,37 +954,28 @@ let export_ir_cmd =
           ~doc:"Max |recorded - re-simulated| fidelity drift $(b,--check) \
                 accepts.")
   in
-  let run input output scheme search device drift_seed drift_epoch jobs
-      backend cache_file canonical check tol =
+  let run input output scheme device drift_seed drift_epoch jobs backend
+      cache_file canonical check tol =
     if jobs < 1 then begin
       Printf.eprintf "error: --jobs must be >= 1 (got %d)\n" jobs;
       exit 1
     end;
-    let logical = load_circuit input in
-    let dev = resolve_device device ~drift_seed ~drift_epoch in
-    let t = Transpile.run ~coupling:(Device.coupling dev) logical in
-    let gen =
-      match backend with
-      | `Model -> Gen.model_default ()
-      | `Qoc -> Gen.qoc_default ()
+    check_drift ~drift_seed ~drift_epoch;
+    let req =
+      compile_request ~scheme ~backend ~device ~drift_seed ~drift_epoch ~jobs
+        ~canonical (proto_circuit input)
     in
-    Gen.set_canonical gen canonical;
-    Gen.set_device gen dev;
-    let latency, esp, _seconds, groups, fallbacks, grouped =
-      with_cache cache_file (fun cache ->
-          run_scheme scheme ~max_n:3 ~top_k:1 ~jobs ~search ?cache gen
-            t.Transpile.physical)
-    in
-    (try
-       Pulse_ir.save
-         (Pulse_ir.of_report ~device:dev ~gen ~grouped ~latency ~esp)
-         output
+    let c, cache_line = compile_locally ~deadline:None cache_file req in
+    print_string cache_line;
+    (try Pulse_ir.save (ir_of_compiled c) output
      with Failure msg ->
        Printf.eprintf "error: %s\n" msg;
        exit 1);
     Printf.printf
       "pulse IR        : %s (%d instructions, %d fallbacks, device %s)\n"
-      output groups fallbacks (Device.name dev);
+      output c.Service.result.Protocol.episodes
+      c.Service.result.Protocol.fallbacks
+      (Device.name c.Service.device);
     if check then begin
       match Pulse_ir.load output with
       | Error e ->
@@ -1170,9 +1001,9 @@ let export_ir_cmd =
           $(b,--check), parse the file back and re-simulate every \
           waveform against its recorded fidelity.")
     Term.(
-      const run $ input $ output $ scheme_arg $ search_arg $ device
-      $ drift_seed_arg $ drift_epoch_arg $ jobs $ backend $ cache_arg
-      $ canonical_arg $ check $ tol)
+      const run $ input $ output $ scheme_arg $ device_arg $ drift_seed_arg
+      $ drift_epoch_arg $ jobs $ backend_arg $ cache_arg $ canonical_arg
+      $ check $ tol)
 
 (* ------------------------------------------------------------------ *)
 (* mine                                                                *)

@@ -67,24 +67,3 @@ let preprocess (c : Circuit.t) ~maxN =
       round (fst (Rewrite.contract_mapped dag groups))
   in
   round c
-
-let enumerate ?(include_case_iii = false) (crit : Criticality.t) ~maxN =
-  let dag = crit.Criticality.dag in
-  let n = Dag.n_nodes dag in
-  let out = ref [] in
-  for u = 0 to n - 1 do
-    List.iter
-      (fun v ->
-        let gu = Dag.gate dag u and gv = Dag.gate dag v in
-        let union = qubit_union gu gv in
-        if List.length union <= maxN && not (Dag.has_indirect_path dag u v)
-        then
-          match Criticality.case_of crit u v with
-          | `III ->
-            if include_case_iii then
-              out := { u; v; case = `III; n_qubits = List.length union } :: !out
-          | (`I | `II) as case ->
-            out := { u; v; case; n_qubits = List.length union } :: !out)
-      (Dag.succs dag u)
-  done;
-  List.rev !out

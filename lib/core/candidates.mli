@@ -1,7 +1,9 @@
 (** Merge-candidate generation and criticality pruning (Section V-A-1).
 
     Candidates are pairs of directly dependent gates (DAG edges — the
-    "two-gate grouping" of each hierarchical search level). The pruning
+    "two-gate grouping" of each hierarchical search level). This module
+    holds the candidate record and the Observation-1 pre-processing; the
+    search ([Merger.run]) admits candidates on the fly. The pruning
     pipeline applies, in order:
 
     + the pre-processing rule from Observation 1 — consecutive gates whose
@@ -30,9 +32,3 @@ val qubit_union :
 (** [preprocess c ~maxN] exhaustively applies the Observation-1 rule
     (bounded by [maxN]) and returns the simplified circuit. *)
 val preprocess : Paqoc_circuit.Circuit.t -> maxN:int -> Paqoc_circuit.Circuit.t
-
-(** [enumerate ?include_case_iii crit ~maxN] lists the surviving
-    candidates of the analyzed circuit. [include_case_iii] (default
-    [false]) disables the criticality pruning — only useful to measure
-    what the pruning buys (the bench harness's pruning ablation). *)
-val enumerate : ?include_case_iii:bool -> Criticality.t -> maxN:int -> t list

@@ -55,19 +55,6 @@ let with_shared_cache ?cache gen f =
       ~finally:(fun () -> Generator.set_shared_cache gen previous)
       f
 
-(* [?canonical] scopes the equivalence-class cache tier the same way:
-   enable for this compile, restore the generator's previous setting on
-   the way out. [None] leaves the generator untouched. *)
-let with_canonical ?canonical gen f =
-  match canonical with
-  | None -> f ()
-  | Some b ->
-    let previous = Generator.canonical_enabled gen in
-    Generator.set_canonical gen b;
-    Fun.protect
-      ~finally:(fun () -> Generator.set_canonical gen previous)
-      f
-
 (* Deadline checks sit at stage boundaries only: a stage either ran to
    completion (its pulses are committed to the database and usable by the
    next request) or never started — an expired budget can never leave the
@@ -78,10 +65,9 @@ let check_deadline deadline =
     raise Paqoc_pulse.Protocol.Deadline_exceeded
   | _ -> ()
 
-let compile ?(scheme = paqoc_m0) ?(jobs = 1) ?(search = `Incremental) ?cache
-    ?canonical ?deadline gen (c : Circuit.t) =
+let compile ?(scheme = paqoc_m0) ?(jobs = 1) ?cache ?deadline gen
+    (c : Circuit.t) =
   with_shared_cache ?cache gen @@ fun () ->
-  with_canonical ?canonical gen @@ fun () ->
   Obs.with_span "paqoc.compile" @@ fun () ->
   check_deadline deadline;
   (* wall time on the monotonic clock — [Sys.time] (CPU time) would count
@@ -126,9 +112,7 @@ let compile ?(scheme = paqoc_m0) ?(jobs = 1) ?(search = `Incremental) ?cache
   let grouped, merge_stats =
     if scheme.enable_merger then
       Obs.with_span "paqoc.search" (fun () ->
-          match search with
-          | `Incremental -> Merger.run ~config:scheme.merger ~jobs gen pre
-          | `Reference -> Merger.run_reference ~config:scheme.merger gen pre)
+          Merger.run ~config:scheme.merger ~jobs gen pre)
     else begin
       let crit = Criticality.analyze gen pre in
       ( pre,

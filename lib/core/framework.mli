@@ -57,32 +57,20 @@ type report = {
   merge_stats : Merger.stats;
 }
 
-(** [compile ?scheme ?jobs ?search ?cache gen c] compiles physical
-    circuit [c]. Default scheme is [paqoc_m0]. [jobs] (default 1) is the
-    worker-domain count for the parallel stages — the offline APA pulse
-    pre-computation, the final episode sweep, and the incremental
-    search's candidate exploration; results are identical to the serial
-    run ({!Paqoc_pulse.Generator.generate_batch}'s determinism
-    guarantee, and {!Merger.run}'s).
-
-    [search] picks the criticality-search implementation:
-    [`Incremental] (default) is {!Merger.run}; [`Reference] is
-    {!Merger.run_reference}, the slow oracle — same results, kept
-    selectable so the end-to-end equivalence can be checked from the
-    CLI ([make check-search-golden]).
+(** [compile ?scheme ?jobs ?cache gen c] compiles physical circuit [c].
+    Default scheme is [paqoc_m0]. [jobs] (default 1) is the worker-domain
+    count for the parallel stages — the offline APA pulse
+    pre-computation, the final episode sweep, and the search's candidate
+    exploration; results are identical to the serial run
+    ({!Paqoc_pulse.Generator.generate_batch}'s determinism guarantee, and
+    {!Merger.run}'s).
 
     [cache] scopes a shared cross-run {!Paqoc_pulse.Cache} to this
     compile: groups already priced there skip synthesis, and freshly
     synthesised groups are published back — the suite driver's
     cross-benchmark dedup. The generator's previous attachment is
-    restored when the compile returns.
-
-    [canonical] (with a [cache]) additionally enables the
-    equivalence-class tier for this compile
-    ({!Paqoc_pulse.Generator.set_canonical}): groups locally equivalent
-    to an already-priced class representative replay its pulse instead
-    of synthesising. The generator's previous setting is restored when
-    the compile returns; omitted, the setting is left untouched.
+    restored when the compile returns. The equivalence-class tier is the
+    generator's own setting ({!Paqoc_pulse.Generator.set_canonical}).
 
     [deadline] is an absolute {!Paqoc_obs.Clock.now_s} time; when it
     passes, the pipeline raises {!Paqoc_pulse.Protocol.Deadline_exceeded}
@@ -95,9 +83,7 @@ type report = {
 val compile :
   ?scheme:scheme ->
   ?jobs:int ->
-  ?search:[ `Incremental | `Reference ] ->
   ?cache:Paqoc_pulse.Cache.t ->
-  ?canonical:bool ->
   ?deadline:float ->
   Paqoc_pulse.Generator.t ->
   Paqoc_circuit.Circuit.t ->

@@ -23,136 +23,6 @@ type stats = {
   final_latency : float;
 }
 
-let merged_key dag u v =
-  let group, _ = Generator.group_of_apps [ Dag.gate dag u; Dag.gate dag v ] in
-  Generator.key group
-
-(* The original search loop, kept verbatim as the oracle for the
-   differential battery: one full [Criticality.analyze] per iteration
-   plus one per attempted contraction. [run] below replays exactly the
-   same decision sequence through the incremental engine. *)
-let run_reference ?(config = default_config) gen c =
-  let blacklist = Hashtbl.create 64 in
-  let merge_counter = ref 0 in
-  let committed = ref 0 and rolled_back = ref 0 and iterations = ref 0 in
-  let initial_latency =
-    Criticality.total (Criticality.analyze gen c)
-  in
-  let eps = 1e-6 in
-  let contract_batch crit batch =
-    let dag = crit.Criticality.dag in
-    let groups =
-      List.map
-        (fun (s : Ranking.scored) ->
-          incr merge_counter;
-          let nodes =
-            [ s.Ranking.candidate.Candidates.u; s.Ranking.candidate.Candidates.v ]
-          in
-          ( nodes,
-            Rewrite.custom_of_nodes dag nodes
-              ~name:(Printf.sprintf "grp%d" !merge_counter) ))
-        batch
-    in
-    let newc = Rewrite.contract crit.Criticality.circuit groups in
-    (* generate the pulses for the freshly created customized gates now —
-       Algorithm 1 line 18 *)
-    List.iter
-      (fun (_, app) ->
-        let group, _ = Generator.group_of_apps [ app ] in
-        ignore (Generator.generate gen group))
-      groups;
-    newc
-  in
-  let rec loop c prev_total =
-    if !iterations >= config.max_iterations then c
-    else begin
-      incr iterations;
-      Obs.count "merger.iterations";
-      let crit = Criticality.analyze gen c in
-      let cands =
-        Candidates.enumerate
-          ~include_case_iii:(not config.prune_noncritical)
-          crit ~maxN:config.max_n
-      in
-      let scored =
-        Ranking.rank gen crit cands
-        |> List.filter (fun (s : Ranking.scored) ->
-               s.Ranking.score > 1e-9
-               && not
-                    (Hashtbl.mem blacklist
-                       (merged_key crit.Criticality.dag
-                          s.Ranking.candidate.Candidates.u
-                          s.Ranking.candidate.Candidates.v)))
-      in
-      if scored = [] then c
-      else begin
-        (* pick up to top_k span-disjoint candidates *)
-        let spans = ref [] in
-        let batch =
-          List.filter
-            (fun (s : Ranking.scored) ->
-              let lo = s.Ranking.candidate.Candidates.u
-              and hi = s.Ranking.candidate.Candidates.v in
-              let lo, hi = (min lo hi, max lo hi) in
-              if List.length !spans >= config.top_k then false
-              else if
-                List.exists (fun (lo', hi') -> lo <= hi' && lo' <= hi) !spans
-              then false
-              else begin
-                spans := (lo, hi) :: !spans;
-                true
-              end)
-            scored
-        in
-        let rec attempt batch =
-          match batch with
-          | [] -> None
-          | _ ->
-            let newc = contract_batch crit batch in
-            let new_total = Criticality.total (Criticality.analyze gen newc) in
-            if new_total <= prev_total +. eps then
-              Some (newc, new_total, List.length batch)
-            else if List.length batch > 1 then
-              (* the batch interfered with itself: retry with the single
-                 best candidate *)
-              attempt [ List.hd batch ]
-            else begin
-              (* even the best single merge regressed: the estimate was
-                 optimistic — roll back and blacklist *)
-              incr rolled_back;
-              let s = List.hd batch in
-              Hashtbl.replace blacklist
-                (merged_key crit.Criticality.dag
-                   s.Ranking.candidate.Candidates.u
-                   s.Ranking.candidate.Candidates.v)
-                ();
-              None
-            end
-        in
-        match attempt batch with
-        | Some (newc, new_total, n) ->
-          committed := !committed + n;
-          loop newc new_total
-        | None -> loop c prev_total
-      end
-    end
-  in
-  let final = Obs.with_span "merger.search" (fun () -> loop c initial_latency) in
-  let final_latency = Criticality.total (Criticality.analyze gen final) in
-  Obs.count ~n:!committed "merger.committed";
-  Obs.count ~n:!rolled_back "merger.rolled_back";
-  ( final,
-    { iterations = !iterations;
-      merges_committed = !committed;
-      merges_rolled_back = !rolled_back;
-      initial_latency;
-      final_latency
-    } )
-
-(* ------------------------------------------------------------------ *)
-(* Incremental search                                                  *)
-(* ------------------------------------------------------------------ *)
-
 module Engine = Criticality.Engine
 module Pool = Paqoc_pulse.Pool
 
@@ -160,7 +30,7 @@ module Pool = Paqoc_pulse.Pool
    gates' content — never on their position in the circuit, the
    schedule, or the pulse database. Keyed on the engine's stable node
    uids, these entries are computed once per pair and never go stale,
-   which removes the reference loop's dominant cost (re-serialising
+   which removes a full-reanalysis loop's dominant cost (re-serialising
    every candidate's merged group on every iteration). *)
 type pair_info = {
   mkey : string;  (** canonical key of the merged group *)
@@ -171,7 +41,9 @@ type pair_info = {
 let n_qubits_of (g : Gate.app) =
   List.length (List.sort_uniq compare g.Gate.qubits)
 
-(* must price exactly as Ranking.score does *)
+(* the Observation-1/2 merged-latency estimate: the analytic model's
+   price, raised to the corpus average for the merged size when the
+   merge grows the qubit set *)
 let compute_pair_info gen (gu : Gate.app) (gv : Gate.app) =
   let merged_group, _ = Generator.group_of_apps [ gu; gv ] in
   let union_n = List.length (Candidates.qubit_union gu gv) in
@@ -251,8 +123,8 @@ let run ?(config = default_config) ?(jobs = 1) gen c =
     end
   in
   (* Candidate scoring over the committed engine state. Mirrors
-     enumerate+rank+filter of the reference loop with one deliberate
-     twist: the validity DFS (has_indirect_path) is postponed to the
+     enumerate+rank+filter of the reference loop (test/oracle) with one
+     deliberate twist: the validity DFS (has_indirect_path) is postponed to the
      selection walk below, where only the top few candidates ever need
      it — skipping an invalid candidate there is indistinguishable from
      its absence here, since scores are content+schedule functions and

@@ -1,20 +1,13 @@
-module Gate = Paqoc_circuit.Gate
-module Dag = Paqoc_circuit.Dag
-module Generator = Paqoc_pulse.Generator
-
 type scored = {
   candidate : Candidates.t;
   score : float;
   est_merged_latency : float;
 }
 
-let n_qubits_of (g : Gate.app) =
-  List.length (List.sort_uniq compare g.Gate.qubits)
-
-(* The Section V-A benefit formula, shared by the reference scorer below
-   and the incremental search's memoized scorer ({!Merger}): both paths
-   must produce bit-identical scores, so there is exactly one copy of
-   the arithmetic. *)
+(* The Section V-A benefit formula, shared by the incremental search's
+   memoized scorer ({!Merger}) and the reference scorer of the test
+   oracle: both paths must produce bit-identical scores, so there is
+   exactly one copy of the arithmetic. *)
 let score_value ~case ~u_critical ~l_u ~l_v ~cp_v ~alt_after_u ~est =
   match case with
   | `I ->
@@ -49,39 +42,3 @@ let compare_scored a b =
       (b.candidate.Candidates.u, b.candidate.Candidates.v)
 
 let sort_scored scored = List.sort compare_scored scored
-
-let score gen (crit : Criticality.t) (cand : Candidates.t) =
-  let dag = crit.Criticality.dag in
-  let u = cand.Candidates.u and v = cand.Candidates.v in
-  let gu = Dag.gate dag u and gv = Dag.gate dag v in
-  let l_u = Criticality.latency crit u
-  and l_v = Criticality.latency crit v in
-  let merged_group, _ = Generator.group_of_apps [ gu; gv ] in
-  let grows = cand.Candidates.n_qubits > max (n_qubits_of gu) (n_qubits_of gv) in
-  let est =
-    let model_est = Generator.estimate_latency gen merged_group in
-    if grows then
-      (* Observation 2: a bigger customized gate is, on average, slower —
-         price it at least at the corpus average for its size *)
-      Float.max model_est
-        (Generator.avg_latency_for_size gen cand.Candidates.n_qubits)
-    else model_est
-  in
-  (* longest continuation through u's other successors (the paper's C) *)
-  let alt_after_u =
-    List.fold_left
-      (fun acc c ->
-        if c = v then acc
-        else
-          Float.max acc (Criticality.latency crit c +. Criticality.cp_after crit c))
-      0.0 (Dag.succs dag u)
-  in
-  let cp_v = Criticality.cp_after crit v in
-  let score =
-    score_value ~case:cand.Candidates.case
-      ~u_critical:(Criticality.is_critical crit u) ~l_u ~l_v ~cp_v
-      ~alt_after_u ~est
-  in
-  { candidate = cand; score; est_merged_latency = est }
-
-let rank gen crit cands = sort_scored (List.map (score gen crit) cands)

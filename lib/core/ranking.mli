@@ -14,13 +14,10 @@ type scored = {
   est_merged_latency : float;
 }
 
-(** [score gen crit cand] prices one candidate. *)
-val score :
-  Paqoc_pulse.Generator.t -> Criticality.t -> Candidates.t -> scored
-
-(** The bare Section V-A benefit formula. Exposed so the incremental
-    search scores memoized candidates through exactly the same
-    arithmetic as {!score} — bit-identical by construction. *)
+(** The bare Section V-A benefit formula: the one copy of the scoring
+    arithmetic, used by the incremental search ([Merger.run]) on its
+    memoized candidates and by the test-only reference scorer, so the
+    two are bit-identical by construction. *)
 val score_value :
   case:[ `I | `II | `III ] ->
   u_critical:bool ->
@@ -31,14 +28,6 @@ val score_value :
   est:float ->
   float
 
-(** The total order {!rank} sorts by: score descending, then pair
-    ascending. *)
-val compare_scored : scored -> scored -> int
-
-(** [sort_scored l] sorts with {!compare_scored}. *)
+(** [sort_scored l] ranks candidates best-first: score descending, then
+    pair ascending (ties: earlier pair first, for determinism). *)
 val sort_scored : scored list -> scored list
-
-(** [rank gen crit cands] scores and sorts best-first (ties: earlier pair
-    first, for determinism). *)
-val rank :
-  Paqoc_pulse.Generator.t -> Criticality.t -> Candidates.t list -> scored list

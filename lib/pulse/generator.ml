@@ -216,7 +216,6 @@ let table_put t k (o : outcome) =
 let set_shared_cache t c = locked t (fun () -> t.shared <- c)
 let shared_cache t = locked t (fun () -> t.shared)
 let set_canonical t b = locked t (fun () -> t.canonical <- b)
-let canonical_enabled t = locked t (fun () -> t.canonical)
 let set_device t d =
   let ns = Device.cache_namespace d in
   locked t (fun () ->

@@ -178,10 +178,9 @@ val device : t -> Paqoc_topology.Device.t
     identical to the exact-only path. See [docs/canonicalization.md]. *)
 
 (** [set_canonical t b] enables/disables the equivalence-class tier for
-    subsequent generations. *)
+    subsequent generations — the one switch for the tier; callers that
+    want it for one compile set it on a fresh generator. *)
 val set_canonical : t -> bool -> unit
-
-val canonical_enabled : t -> bool
 
 (** A class-tier replay taken by this generator, recorded for audit:
     [correction_l . U_rep . correction_r = U_target] up to global phase,

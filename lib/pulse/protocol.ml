@@ -317,7 +317,6 @@ let read_frame fd =
 
 type circuit = Benchmark of string | Qasm of string
 type scheme = M0 | Mtuned | Minf | Acc3 | Acc5
-type search = Incremental | Reference
 type backend = Model | Qoc
 
 let scheme_name = function
@@ -335,15 +334,6 @@ let scheme_of_name = function
   | "accqoc-n3d5" -> Some Acc5
   | _ -> None
 
-let search_name = function
-  | Incremental -> "incremental"
-  | Reference -> "reference"
-
-let search_of_name = function
-  | "incremental" -> Some Incremental
-  | "reference" -> Some Reference
-  | _ -> None
-
 let backend_name = function Model -> "model" | Qoc -> "qoc"
 
 let backend_of_name = function
@@ -354,7 +344,6 @@ let backend_of_name = function
 type compile_request = {
   circuit : circuit;
   scheme : scheme;
-  search : search;
   backend : backend;
   rows : int;
   cols : int;
@@ -379,7 +368,6 @@ type compile_request = {
 let default_compile =
   { circuit = Benchmark "bv";
     scheme = M0;
-    search = Incremental;
     backend = Model;
     rows = 5;
     cols = 5;
@@ -522,7 +510,6 @@ let request_to_json = function
       ([ ("op", Str "compile");
          ("circuit", circuit);
          ("scheme", Str (scheme_name c.scheme));
-         ("search", Str (search_name c.search));
          ("backend", Str (backend_name c.backend));
          ("rows", int_ c.rows);
          ("cols", int_ c.cols);
@@ -617,7 +604,6 @@ let compile_request_of_json j =
       | None -> Error (Printf.sprintf "bad %s %S" name s))
   in
   let* scheme = parse_enum "scheme" scheme_of_name default_compile.scheme in
-  let* search = parse_enum "search" search_of_name default_compile.search in
   let* backend =
     parse_enum "backend" backend_of_name default_compile.backend
   in
@@ -664,7 +650,7 @@ let compile_request_of_json j =
   in
   Ok
     (Compile
-       { circuit; scheme; search; backend; rows; cols; max_n; top_k; jobs;
+       { circuit; scheme; backend; rows; cols; max_n; top_k; jobs;
          canonical; device; drift_seed; drift_epoch; deadline_s
        })
 

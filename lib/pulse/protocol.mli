@@ -71,18 +71,15 @@ val read_frame : Unix.file_descr -> string option
 type circuit = Benchmark of string | Qasm of string
 
 type scheme = M0 | Mtuned | Minf | Acc3 | Acc5
-type search = Incremental | Reference
 type backend = Model | Qoc
 
 val scheme_name : scheme -> string
 val scheme_of_name : string -> scheme option
-val search_name : search -> string
 val backend_name : backend -> string
 
 type compile_request = {
   circuit : circuit;
   scheme : scheme;
-  search : search;
   backend : backend;
   rows : int;  (** device grid rows *)
   cols : int;  (** device grid cols *)
@@ -108,9 +105,12 @@ type compile_request = {
 }
 
 (** A compile request with the CLI's defaults ([bv] on the paper's 5x5
-    grid, paqoc-m0, incremental search, model backend, maxN 3, topK 1,
-    jobs 1, canonicalization off, no deadline) — override fields as
-    needed. *)
+    grid, paqoc-m0, model backend, maxN 3, topK 1, jobs 1,
+    canonicalization off, no deadline) — override fields as needed.
+
+    The decoder ignores fields it does not know: a frame from an older
+    client that still carries the retired ["search"] field decodes
+    unchanged (there is one search), and the encoder never writes it. *)
 val default_compile : compile_request
 
 (** A variational sweep request for the daemon's parametric fast path:

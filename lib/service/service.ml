@@ -19,7 +19,9 @@ let resolve_circuit = function
     match Suite.find name with
     | e -> e.Suite.build ()
     | exception Not_found ->
-      failwith (Printf.sprintf "unknown benchmark %s" name))
+      failwith
+        (Printf.sprintf "%s is neither a QASM file nor a built-in benchmark"
+           name))
   | Protocol.Qasm src -> (
     try Qasm.parse src
     with Qasm.Parse_error msg -> failwith ("QASM parse error: " ^ msg))
@@ -56,7 +58,14 @@ let resolve_device ~device ~rows ~cols ~drift_seed ~drift_epoch =
   in
   Drift.apply ~seed:drift_seed ~epoch:drift_epoch base
 
-let handle ?cache ~deadline (req : Protocol.compile_request) =
+type compiled = {
+  result : Protocol.compile_result;
+  device : Device.t;
+  gen : Gen.t;
+  grouped : Circuit.t;
+}
+
+let compile ?cache ?retry ~deadline (req : Protocol.compile_request) =
   if req.Protocol.rows < 1 || req.Protocol.cols < 1 then
     failwith
       (Printf.sprintf "bad device grid %dx%d" req.Protocol.rows
@@ -79,8 +88,8 @@ let handle ?cache ~deadline (req : Protocol.compile_request) =
      through the shared cache. *)
   let gen =
     match req.Protocol.backend with
-    | Protocol.Model -> Gen.model_default ()
-    | Protocol.Qoc -> Gen.qoc_default ()
+    | Protocol.Model -> Gen.model_default ?retry ()
+    | Protocol.Qoc -> Gen.qoc_default ?retry ()
   in
   (* the generator is fresh, so this scopes the equivalence-class tier
      to exactly this request — both the PAQOC and AccQOC paths *)
@@ -88,7 +97,7 @@ let handle ?cache ~deadline (req : Protocol.compile_request) =
   Gen.set_device gen dev;
   let stats0 = Option.map Cache.stats cache in
   let jobs = req.Protocol.jobs in
-  let latency, esp, compile_seconds, episodes, fallbacks =
+  let latency, esp, compile_seconds, episodes, fallbacks, grouped =
     match req.Protocol.scheme with
     | Protocol.Acc3 | Protocol.Acc5 ->
       (* the AccQOC baseline has no stage-boundary deadline plumbing;
@@ -100,7 +109,7 @@ let handle ?cache ~deadline (req : Protocol.compile_request) =
       in
       let r = Accqoc.compile ~slicer ~jobs ?cache gen physical in
       ( r.Accqoc.latency, r.Accqoc.esp, r.Accqoc.compile_seconds,
-        r.Accqoc.n_groups, r.Accqoc.fallbacks )
+        r.Accqoc.n_groups, r.Accqoc.fallbacks, r.Accqoc.grouped )
     | (Protocol.M0 | Protocol.Mtuned | Protocol.Minf) as m ->
       let mode =
         match m with
@@ -118,14 +127,9 @@ let handle ?cache ~deadline (req : Protocol.compile_request) =
             }
         }
       in
-      let search =
-        match req.Protocol.search with
-        | Protocol.Incremental -> `Incremental
-        | Protocol.Reference -> `Reference
-      in
-      let r = Paqoc.compile ~scheme ~jobs ~search ?cache ?deadline gen physical in
+      let r = Paqoc.compile ~scheme ~jobs ?cache ?deadline gen physical in
       ( r.Paqoc.latency, r.Paqoc.esp, r.Paqoc.compile_seconds,
-        r.Paqoc.n_groups, r.Paqoc.fallbacks )
+        r.Paqoc.n_groups, r.Paqoc.fallbacks, r.Paqoc.grouped )
   in
   let cache_hits, cache_misses =
     match (cache, stats0) with
@@ -134,19 +138,24 @@ let handle ?cache ~deadline (req : Protocol.compile_request) =
       ( s1.Cache.hits - s0.Cache.hits, s1.Cache.misses - s0.Cache.misses )
     | _ -> (0, 0)
   in
-  { Protocol.latency;
-    esp;
-    compile_seconds;
-    episodes;
-    fallbacks;
-    synthesized = Gen.pulses_generated gen;
-    cache_hits;
-    cache_misses;
-    logical_qubits = logical.Circuit.n_qubits;
-    device_qubits = Coupling.n_qubits coupling;
-    physical_gates = Circuit.n_gates physical;
-    swaps_added = t.Transpile.swaps_added
-  }
+  let result =
+    { Protocol.latency;
+      esp;
+      compile_seconds;
+      episodes;
+      fallbacks;
+      synthesized = Gen.pulses_generated gen;
+      cache_hits;
+      cache_misses;
+      logical_qubits = logical.Circuit.n_qubits;
+      device_qubits = Coupling.n_qubits coupling;
+      physical_gates = Circuit.n_gates physical;
+      swaps_added = t.Transpile.swaps_added
+    }
+  in
+  { result; device = dev; gen; grouped }
+
+let handle ?cache ~deadline req = (compile ?cache ~deadline req).result
 
 let handler ?cache () ~deadline req = handle ?cache ~deadline req
 

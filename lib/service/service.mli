@@ -1,5 +1,7 @@
-(** The daemon's compile brain: one {!Paqoc_pulse.Protocol} request in,
-    one result out.
+(** The compile brain of the daemon and the CLI: one
+    {!Paqoc_pulse.Protocol} request in, one result out. Every compile —
+    daemon-served, [compile-suite], in-process [compile] and
+    [export-ir] — runs through {!compile}.
 
     {!Paqoc_pulse.Server} is deliberately transport-only — it cannot
     depend on the compiler, which sits {e above} the pulse layer in the
@@ -38,16 +40,39 @@ val resolve_device :
   drift_epoch:int ->
   Paqoc_topology.Device.t
 
-(** [handle ?cache ~deadline req] compiles one request. [deadline] is an
-    absolute {!Paqoc_obs.Clock} time forwarded to the pipeline's
-    stage-boundary checks. The request's device is resolved with
-    {!resolve_device} and pinned on the fresh generator, so its pulses
-    live under the device's cache namespace.
+(** What one compile leaves behind besides its wire result: the resolved
+    device, the request's fresh generator (its pulse database holds every
+    episode's pulse) and the final circuit of pulse episodes — what the
+    CLI needs for [--show-groups] and the pulse-IR export. *)
+type compiled = {
+  result : Paqoc_pulse.Protocol.compile_result;
+  device : Paqoc_topology.Device.t;
+  gen : Paqoc_pulse.Generator.t;
+  grouped : Paqoc_circuit.Circuit.t;
+}
+
+(** [compile ?cache ?retry ~deadline req] compiles one request: the one
+    compile path shared by the daemon, [compile-suite], [compile] and
+    [export-ir]. [deadline] is an absolute {!Paqoc_obs.Clock} time
+    forwarded to the pipeline's stage-boundary checks. The request's
+    device is resolved with {!resolve_device} and pinned on a fresh
+    generator (created with [retry], default
+    {!Paqoc_pulse.Generator.default_retry}), so its pulses live under the
+    device's cache namespace.
     @raise Paqoc_pulse.Protocol.Deadline_exceeded when the budget
     expires at a stage boundary.
     @raise Failure on an unresolvable request (unknown benchmark or
-    device, QASM parse error, bad grid/knobs) — the server maps it to a
-    typed wire error. *)
+    device, QASM parse error, bad grid/knobs such as [max_n] or [top_k]
+    below 1) — the server maps it to a typed wire error. *)
+val compile :
+  ?cache:Paqoc_pulse.Cache.t ->
+  ?retry:Paqoc_pulse.Generator.retry ->
+  deadline:float option ->
+  Paqoc_pulse.Protocol.compile_request ->
+  compiled
+
+(** [handle ?cache ~deadline req] is [(compile ?cache ~deadline req).result]:
+    the daemon's view of a compile. *)
 val handle :
   ?cache:Paqoc_pulse.Cache.t ->
   deadline:float option ->

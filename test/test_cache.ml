@@ -523,7 +523,8 @@ let suite =
         with_tmp @@ fun on_path ->
         Cache.with_file on_path (fun cache ->
             let gen = Gen.model_default () in
-            ignore (Paqoc.compile ~cache ~canonical:true gen physical);
+            Gen.set_canonical gen true;
+            ignore (Paqoc.compile ~cache gen physical);
             check_true "classes published" (Cache.n_classes cache > 0);
             check_true "in-batch class-mates replayed"
               ((Cache.stats cache).Cache.canonical_hits > 0));

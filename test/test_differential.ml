@@ -182,7 +182,8 @@ let suite =
         in
         let cache = Cache.create () in
         let gen = Gen.qoc_default () in
-        ignore (Paqoc.compile ~cache ~canonical:true gen physical);
+        Gen.set_canonical gen true;
+        ignore (Paqoc.compile ~cache gen physical);
         let replays = Gen.canonical_replays gen in
         check_true "bb84 replayed at least one class-mate"
           (List.length replays > 0);
@@ -236,8 +237,9 @@ let suite =
                 List.map
                   (fun e ->
                     let gen = Gen.model_default () in
+                    Gen.set_canonical gen true;
                     let r =
-                      Paqoc.compile ~cache ~canonical:true ~jobs gen
+                      Paqoc.compile ~cache ~jobs gen
                         (Suite.transpiled e).Paqoc_topology.Transpile
                           .physical
                     in

@@ -119,6 +119,20 @@ let suite =
         let r = Paqoc.compile gen c in
         check_float "zero latency" 0.0 r.Paqoc.latency;
         check_float "perfect esp" 1.0 r.Paqoc.esp);
+    case "compile refuses max_qubits or top_k below 1" (fun () ->
+        (* the one compile path: the CLI's in-process compile, compile-suite
+           and the daemon all refuse these requests with this message *)
+        List.iter
+          (fun req ->
+            match Paqoc_service.Service.compile ~deadline:None req with
+            | _ -> Alcotest.fail "a knob below 1 compiled"
+            | exception Failure msg ->
+              Alcotest.(check string)
+                "Service's message" "max_qubits and top_k must be >= 1" msg)
+          [ { Paqoc_pulse.Protocol.default_compile with
+              Paqoc_pulse.Protocol.top_k = 0 };
+            { Paqoc_pulse.Protocol.default_compile with
+              Paqoc_pulse.Protocol.max_n = 0 } ]);
     case "single-gate circuit compiles" (fun () ->
         let c = Circuit.make ~n_qubits:2 [ Gate.app2 Gate.CX 0 1 ] in
         let gen = Gen.model_default () in

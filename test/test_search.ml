@@ -2,9 +2,11 @@
    are pinned to their slow oracles bit-for-bit. [Criticality.Engine]
    must expose, after any sequence of stage/commit/discard/refresh, the
    exact floats a from-scratch [Criticality.analyze] computes — raw bit
-   patterns, never a tolerance — and [Merger.run] must reproduce
-   [Merger.run_reference]'s circuit and statistics exactly, at any
-   [jobs]. The suite also pins the runtime guarantees the engine's
+   patterns, never a tolerance — and [Merger.run] must reproduce the
+   test-only reference search's ([Oracle.run_reference]) circuit and
+   statistics exactly, at any [jobs]; end to end, [Service.compile] must
+   reproduce the reference compile's suite rows and cache bytes. The
+   suite also pins the runtime guarantees the engine's
    workspace design makes: reachability queries allocate nothing, and a
    whole stage+discard step stays under a fixed minor-heap budget. *)
 open Test_util
@@ -14,6 +16,10 @@ module Rewrite = Paqoc_circuit.Rewrite
 module Crit = Paqoc.Criticality
 module Engine = Paqoc.Criticality.Engine
 module Merger = Paqoc.Merger
+module Oracle = Paqoc_test_oracle.Oracle
+module Cache = Paqoc_pulse.Cache
+module Protocol = Paqoc_pulse.Protocol
+module Service = Paqoc_service.Service
 module Suite = Paqoc_benchmarks.Suite
 module Transpile = Paqoc_topology.Transpile
 
@@ -166,7 +172,7 @@ let search_differential =
           prune_noncritical = !trial mod 2 = 0
         }
       in
-      let reference = Merger.run_reference ~config (Gen.model_default ()) c in
+      let reference = Oracle.run_reference ~config (Gen.model_default ()) c in
       let fast = Merger.run ~config (Gen.model_default ()) c in
       check_same_result "jobs 1" reference fast;
       let fast4 = Merger.run ~config ~jobs:4 (Gen.model_default ()) c in
@@ -177,38 +183,94 @@ let search_differential =
 (* End-to-end suite equivalence (golden)                               *)
 (* ------------------------------------------------------------------ *)
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* The 17-benchmark suite, twice. First per benchmark on a fresh
+   generator: the reference pipeline against [Paqoc.compile] at jobs 1
+   and 4 — grouped circuit, latency and ESP bit for bit, and the full
+   merge statistics (iterations, commits, rollbacks, initial and final
+   criticality totals). Then as compile-suite runs it — one shared cache
+   file per run, Table I order — through the reference compile and
+   through Service.compile at jobs 1 and 4. Every suite row, every
+   result field but the wall-clock compile cost, every grouped circuit
+   and the compacted cache bytes must be identical. *)
 let suite_equivalence =
   slow_case "all 17 benchmarks: incremental == reference == jobs 4" (fun () ->
       List.iter
         (fun (e : Suite.entry) ->
           let physical = (Suite.transpiled e).Transpile.physical in
-          let compile search jobs =
-            Paqoc.compile ~jobs ~search (Gen.model_default ()) physical
-          in
-          let r = compile `Reference 1 in
-          let i = compile `Incremental 1 in
-          let i4 = compile `Incremental 4 in
+          let r = Oracle.pipeline (Gen.model_default ()) physical in
           List.iter
-            (fun (tag, (x : Paqoc.report)) ->
-              check_true
-                (Printf.sprintf "%s: grouped circuit (%s)" e.Suite.name tag)
-                (Circuit.to_string r.Paqoc.grouped
-                = Circuit.to_string x.Paqoc.grouped);
-              check_bits
-                (Printf.sprintf "%s: latency (%s)" e.Suite.name tag)
-                r.Paqoc.latency x.Paqoc.latency;
-              check_bits
-                (Printf.sprintf "%s: esp (%s)" e.Suite.name tag)
-                r.Paqoc.esp x.Paqoc.esp;
-              check_int
-                (Printf.sprintf "%s: groups (%s)" e.Suite.name tag)
-                r.Paqoc.n_groups x.Paqoc.n_groups;
-              check_same_result
-                (Printf.sprintf "%s: stats (%s)" e.Suite.name tag)
-                (r.Paqoc.grouped, r.Paqoc.merge_stats)
+            (fun jobs ->
+              let x = Paqoc.compile ~jobs (Gen.model_default ()) physical in
+              let tag = Printf.sprintf "%s (jobs %d)" e.Suite.name jobs in
+              check_bits (tag ^ ": latency") r.Oracle.latency x.Paqoc.latency;
+              check_bits (tag ^ ": esp") r.Oracle.esp x.Paqoc.esp;
+              check_int (tag ^ ": groups")
+                (Circuit.n_gates r.Oracle.grouped)
+                x.Paqoc.n_groups;
+              check_same_result (tag ^ ": stats")
+                (r.Oracle.grouped, r.Oracle.stats)
                 (x.Paqoc.grouped, x.Paqoc.merge_stats))
-            [ ("jobs 1", i); ("jobs 4", i4) ])
-        Suite.all)
+            [ 1; 4 ])
+        Suite.all;
+      (* what one benchmark's compile is compared on *)
+      let observe name (c : Service.compiled) =
+        ( name,
+          Service.suite_row name c.Service.result,
+          { c.Service.result with Protocol.compile_seconds = 0.0 },
+          Circuit.to_string c.Service.grouped )
+      in
+      let run compile =
+        let path = Filename.temp_file "paqoc_suite" ".cache" in
+        Fun.protect
+          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+          (fun () ->
+            let rows =
+              Cache.with_file path (fun cache ->
+                  List.map
+                    (fun (e : Suite.entry) ->
+                      observe e.Suite.name
+                        (compile cache
+                           { Protocol.default_compile with
+                             Protocol.circuit = Protocol.Benchmark e.Suite.name
+                           }))
+                    Suite.all)
+            in
+            (rows, read_file path))
+      in
+      let ref_rows, ref_bytes =
+        run (fun cache req -> Oracle.compile ~cache req)
+      in
+      let service jobs =
+        run (fun cache req ->
+            Service.compile ~cache ~deadline:None
+              { req with Protocol.jobs = jobs })
+      in
+      List.iter
+        (fun (tag, (rows, bytes)) ->
+          List.iter2
+            (fun (name, row_r, result_r, grouped_r) (_, row, result, grouped) ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s: suite row (%s)" name tag)
+                row_r row;
+              check_bits
+                (Printf.sprintf "%s: latency (%s)" name tag)
+                result_r.Protocol.latency result.Protocol.latency;
+              check_bits
+                (Printf.sprintf "%s: esp (%s)" name tag)
+                result_r.Protocol.esp result.Protocol.esp;
+              check_true
+                (Printf.sprintf "%s: result fields (%s)" name tag)
+                (result_r = result);
+              check_true
+                (Printf.sprintf "%s: grouped circuit (%s)" name tag)
+                (grouped_r = grouped))
+            ref_rows rows;
+          check_true
+            (Printf.sprintf "compacted cache bytes (%s)" tag)
+            (ref_bytes = bytes))
+        [ ("jobs 1", service 1); ("jobs 4", service 4) ])
 
 (* ------------------------------------------------------------------ *)
 (* Allocation budgets                                                  *)

@@ -73,7 +73,6 @@ let sample_requests =
     Protocol.Compile
       { Protocol.circuit = Protocol.Qasm "OPENQASM 2.0;\nqreg q[1];\n";
         scheme = Protocol.Acc5;
-        search = Protocol.Reference;
         backend = Protocol.Qoc;
         rows = 2;
         cols = 7;
@@ -128,6 +127,50 @@ let test_request_roundtrip () =
       | Ok req' -> check_true "request round-trips" (req = req')
       | Error msg -> Alcotest.failf "request decode failed: %s" msg)
     sample_requests
+
+(* Frames from clients that predate the single search still carry a
+   "search" field: it must decode (and be ignored), and re-encoding must
+   drop it. *)
+let test_retired_search_field () =
+  let current = Protocol.Compile Protocol.default_compile in
+  let current_bytes =
+    Protocol.json_to_string (Protocol.request_to_json current)
+  in
+  List.iter
+    (fun search ->
+      let old_frame =
+        Printf.sprintf
+          "{\"op\":\"compile\",\"circuit\":{\"benchmark\":\"bv\"},\
+           \"scheme\":\"paqoc-m0\",\"search\":%S,\"backend\":\"model\",\
+           \"rows\":5,\"cols\":5,\"max_qubits\":3,\"top_k\":1,\"jobs\":1}"
+          search
+      in
+      match Protocol.json_of_string old_frame with
+      | Error msg -> Alcotest.failf "old frame reparse failed: %s" msg
+      | Ok j -> (
+        match Protocol.request_of_json j with
+        | Error msg ->
+          Alcotest.failf "search=%s frame refused: %s" search msg
+        | Ok req ->
+          check_true
+            (Printf.sprintf "search=%s decodes to the default request" search)
+            (req = current);
+          Alcotest.(check string)
+            (Printf.sprintf "search=%s re-encodes without the field" search)
+            current_bytes
+            (Protocol.json_to_string (Protocol.request_to_json req))))
+    [ "reference"; "incremental" ];
+  check_true "the encoder never writes search"
+    (not
+       (List.exists
+          (fun req ->
+            let b = Protocol.json_to_string (Protocol.request_to_json req) in
+            let n = String.length b in
+            let rec has i =
+              i + 8 <= n && (String.sub b i 8 = "\"search\"" || has (i + 1))
+            in
+            has 0)
+          sample_requests))
 
 let test_response_roundtrip () =
   List.iter
@@ -573,6 +616,8 @@ let test_idle_timeout_stops () =
 
 let suite =
   [ case "protocol: requests round-trip" test_request_roundtrip;
+    case "protocol: retired search field is ignored"
+      test_retired_search_field;
     case "protocol: responses round-trip" test_response_roundtrip;
     case "protocol: malformed JSON is a typed error" test_json_malformed;
     case "protocol: frames round-trip" test_frame_roundtrip;
