@@ -3,9 +3,9 @@
    Compiles all 17 Table I benchmarks with both criticality-search
    implementations — the reference loop (one full analysis per merge
    attempt, the "before" phase; the test-only oracle in test/oracle) and
-   the incremental engine (dirty-region propagation, the "after" phase,
-   [Paqoc.compile]) — each through its own journaled
-   shared cache, cold then warm. The model backend keeps QOC time out of
+   the incremental engine (trial merges spliced into a stable-id DAG,
+   dirty-region waves; the "after" phase, [Paqoc.compile]) — each
+   through its own journaled shared cache, cold then warm. The model backend keeps QOC time out of
    the picture, so the walls are pure search cost. The headline number
    is the warm-suite speedup (reference warm wall over incremental warm
    wall): warm passes answer every pulse lookup from the cache, so they

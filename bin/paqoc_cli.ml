@@ -103,16 +103,6 @@ let with_observability ~metrics ~trace f =
   | None -> ());
   r
 
-let load_circuit input =
-  if Sys.file_exists input then Qasm.parse_file input
-  else
-    match Suite.find input with
-    | entry -> entry.Suite.build ()
-    | exception Not_found ->
-      Printf.eprintf
-        "error: %s is neither a QASM file nor a built-in benchmark\n" input;
-      exit 1
-
 let grid_of_spec = function
   | "5x5" -> (5, 5)
   | spec -> (
@@ -398,7 +388,7 @@ let compile_locally ?retry ~deadline cache_file req =
   | exception Protocol.Deadline_exceeded ->
     Printf.eprintf "error: deadline exceeded\n";
     exit 124
-  | exception Failure msg ->
+  | exception (Failure msg | Protocol.Rejected msg) ->
     Printf.eprintf "error: %s\n" msg;
     exit 1
 
@@ -639,7 +629,11 @@ let compile_suite_cmd =
           (match cache_file with
           | Some p -> Printf.sprintf ", cache %s" p
           | None -> ", no cache");
-        print_table (fun e -> Service.handle ?cache ~deadline:None (mk_req e))
+        try
+          print_table (fun e -> Service.handle ?cache ~deadline:None (mk_req e))
+        with Protocol.Rejected msg ->
+          Printf.eprintf "error: %s\n" msg;
+          exit 1
       in
       print_string cache_line
   in
@@ -890,7 +884,7 @@ let compile_sweep_cmd =
           Printf.eprintf "error: sweep bindings miss plan parameters: %s\n"
             (String.concat ", " missing);
           exit 1
-        | exception Failure msg ->
+        | exception (Failure msg | Protocol.Rejected msg) ->
           Printf.eprintf "error: %s\n" msg;
           exit 1
       in
@@ -1029,7 +1023,12 @@ let mine_cmd =
                 the logical one.")
   in
   let run input support transpile_first =
-    let c = load_circuit input in
+    let c =
+      try Service.resolve_circuit (proto_circuit input)
+      with Failure msg ->
+        Printf.eprintf "error: %s\n" msg;
+        exit 1
+    in
     let c =
       if transpile_first then (Transpile.run c).Transpile.physical else c
     in

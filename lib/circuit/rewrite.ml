@@ -1,6 +1,4 @@
-let custom_of_nodes dag nodes ~name =
-  let nodes = List.sort_uniq compare nodes in
-  let apps = List.map (Dag.gate dag) nodes in
+let custom_of_apps apps ~name =
   let wires = ref [] in
   let tbl = Hashtbl.create 8 in
   List.iter
@@ -21,6 +19,9 @@ let custom_of_nodes dag nodes ~name =
   in
   let arity = Hashtbl.length tbl in
   Gate.app (Gate.Custom (Gate.make_custom ~name ~arity body)) (List.rev !wires)
+
+let custom_of_nodes dag nodes ~name =
+  custom_of_apps (List.map (Dag.gate dag) (List.sort_uniq compare nodes)) ~name
 
 (* S is convex iff no node outside S is simultaneously a descendant of some
    member and an ancestor of another. Because node ids are topological, any

@@ -12,6 +12,10 @@
     corresponding global qubits. *)
 val custom_of_nodes : Dag.t -> int list -> name:string -> Gate.app
 
+(** [custom_of_apps apps ~name] is {!custom_of_nodes} on gates given
+    directly, already in program order. *)
+val custom_of_apps : Gate.app list -> name:string -> Gate.app
+
 (** [is_convex dag nodes] checks that no dependence path exits and
     re-enters [nodes]. Its scratch is sized to the id window
     [[min nodes, max nodes]], not to the DAG. *)
@@ -28,7 +32,7 @@ val contract : Circuit.t -> (int list * Gate.app) list -> Circuit.t
     rebuilding it, plus the origin of every output gate:
     [old_of_new.(j)] is the old node id the [j]-th gate of the result
     survives from, or [-(gi+1)] when it is the replacement gate of
-    [List.nth groups gi]. The incremental criticality engine uses this to
-    carry node state across a merge edit. *)
+    [List.nth groups gi]. The incremental criticality engine's window
+    splice is tested against exactly this layout. *)
 val contract_mapped :
   Dag.t -> (int list * Gate.app) list -> Circuit.t * int array

@@ -35,29 +35,43 @@ val cp_after : t -> int -> float
 
     Maintains the same per-node quantities as {!analyze} — episode
     latency, earliest start, [CP]-after, critical membership — under
-    merge edits, by dirty-region propagation over the renumbered DAG
-    instead of a full re-analysis per edit. Every exposed value is
-    bitwise equal to a from-scratch {!analyze} of the current circuit
-    against the current generator state (see docs/incremental-search.md
-    for the argument; the differential battery in test_search pins it).
+    merge edits. Nodes keep a stable uid for life and all per-node state
+    lives in uid-indexed arrays; a merge is spliced into the committed
+    state in place: the merged node replaces its group on the qubit
+    wires, only the group's id window is re-ordered (by the same stable
+    min-id Kahn as {!Paqoc_circuit.Rewrite.contract_mapped}), and
+    dirty-region waves recompute only what the edit reaches. Every
+    exposed value is bitwise equal to a from-scratch {!analyze} of the
+    current circuit against the current generator state (see
+    docs/incremental-search.md for the argument; the differential
+    battery in test_search pins it).
 
-    Protocol: {!Engine.stage} computes a candidate edit's consequences
-    into a preallocated shadow buffer and returns the trial total;
-    {!Engine.commit} adopts the staged state in O(1) buffer swaps,
-    {!Engine.discard} abandons it. {!Engine.refresh} re-resolves
-    episode prices after the pulse database changed under an unchanged
-    circuit (e.g. a rolled-back merge attempt that still generated its
-    pulse). Not thread-safe: one engine per search. *)
+    Nodes are addressed by position: positions [0 .. n_nodes - 1]
+    follow the committed circuit's gate order, which is what
+    {!Engine.circuit} and {!Engine.dag} number their gates by.
+
+    Protocol: {!Engine.stage} applies a candidate edit in place, logging
+    what it overwrites, and returns the trial total; {!Engine.commit}
+    finishes the edit's [CP]-after wave and drops the log,
+    {!Engine.discard} replays the log backwards. Between [stage] and
+    [commit]/[discard], only {!Engine.staged_circuit} may be read.
+    {!Engine.refresh} re-resolves episode prices after the pulse
+    database changed under an unchanged circuit (e.g. a rolled-back
+    merge attempt that still generated its pulse). Not thread-safe: one
+    engine per search. *)
 module Engine : sig
   type e
 
   (** [create gen c] prices and schedules [c] (one full analysis). *)
   val create : Paqoc_pulse.Generator.t -> Paqoc_circuit.Circuit.t -> e
 
-  (** The current committed circuit. *)
+  (** The committed circuit, materialised from the engine's order on
+      each call.
+      @raise Invalid_argument while an edit is staged. *)
   val circuit : e -> Paqoc_circuit.Circuit.t
 
-  (** The dependence DAG of the committed circuit. *)
+  (** [Dag.of_circuit (circuit e)]: a view for callers that want a
+      {!Paqoc_circuit.Dag.t}; the engine itself never builds one. *)
   val dag : e -> Paqoc_circuit.Dag.t
 
   val n_nodes : e -> int
@@ -70,23 +84,59 @@ module Engine : sig
   (** [case_of e u v] — as {!case_of}. *)
   val case_of : e -> int -> int -> [ `I | `II | `III ]
 
-  (** [node_uid e v] is a stable identity for the gate at node [v]:
-      uids survive renumbering, and a merged node gets a fresh uid.
-      Search-level memos key on uid pairs, which never go stale. *)
-  val node_uid : e -> int -> int
+  (** [gate e v] is the gate application at position [v]. *)
+  val gate : e -> int -> Paqoc_circuit.Gate.app
+
+  (** A flat snapshot of the committed schedule and DAG, for loops that
+      visit every edge: node quantities by position, and every edge
+      [(src.(k), dst.(k))] of [Dag.succs (dag e)] once, [src]
+      ascending so each node's edges are contiguous. [slot.(k)] is a
+      stable id of the edge's source wire — it stays with the source
+      node for life, is below [n_slots], and a committed node's slots
+      are never handed to another gate — so callers can key per-edge
+      data on it, checked against [dst_uid.(k)]. The arrays are reused
+      and grown by {!fill_view}; entries past {!n_nodes} / [m] are
+      garbage. *)
+  type view = {
+    mutable lat : float array;  (** {!latency} *)
+    mutable cp : float array;  (** {!cp_after} *)
+    mutable crit : bool array;  (** {!is_critical} *)
+    mutable m : int;
+    mutable src : int array;
+    mutable dst : int array;
+    mutable slot : int array;
+    mutable dst_uid : int array;
+        (** the stable uid of [dst]'s gate: kept for life, fresh for a
+            merged gate, never handed to another gate once committed *)
+    mutable n_slots : int;
+  }
+
+  val view : unit -> view
+
+  (** [fill_view e w] snapshots the committed state into [w]. *)
+  val fill_view : e -> view -> unit
+
+  (** [has_indirect_path e u v] = [Dag.has_indirect_path (dag e) u v],
+      allocation-free. *)
+  val has_indirect_path : e -> int -> int -> bool
 
   (** [refresh e] folds any pulse-database changes into the committed
-      state; no-op when the generator's price epoch is unchanged. *)
+      state (discarding a staged edit first); no-op when the generator's
+      price epoch is unchanged. *)
   val refresh : e -> unit
 
-  (** [stage e groups] contracts [groups] (as {!Rewrite.contract}) into
-      the shadow buffer and returns the trial circuit total. Replaces
-      any previously staged edit.
-      @raise Invalid_argument on overlapping or non-convex groups. *)
+  (** [stage e groups] contracts [groups] (as {!Rewrite.contract}, node
+      ids are positions) and returns the trial circuit total. Replaces
+      any previously staged edit. Each replacement gate must act on
+      exactly its group's qubits, and the groups' position spans
+      [[min, max]] must be disjoint.
+      @raise Invalid_argument on empty, overlapping or non-convex
+      groups, overlapping spans or a replacement on other qubits. *)
   val stage :
     e -> (int list * Paqoc_circuit.Gate.app) list -> float
 
-  (** The staged circuit (raises when nothing is staged). *)
+  (** The staged circuit, materialised on each call (raises when nothing
+      is staged). *)
   val staged_circuit : e -> Paqoc_circuit.Circuit.t
 
   (** [commit e] adopts the staged edit (raises when nothing staged). *)

@@ -29,14 +29,29 @@ type stats = {
   final_latency : float;
 }
 
+(** A search's state, for stepping it by hand: the allocation budget in
+    test_search measures one warmed scoring and selection step. {!run}
+    drives the same steps. *)
+type search
+
+(** [search ?config gen c] prices and schedules [c] for a search. *)
+val search : ?config:config -> Paqoc_pulse.Generator.t -> Paqoc_circuit.Circuit.t -> search
+
+(** [score_and_select s] scores every edge of the current circuit and
+    returns the batch {!run} would attempt next — span-disjoint
+    [(u, v)] position pairs, best first. It commits nothing; pair
+    contents it prices stay memoised for the next call. *)
+val score_and_select : search -> (int * int) list
+
 (** [run ?config ?jobs gen c] returns the latency-optimised grouped
     circuit and the search statistics.
 
     This is the incremental search: criticality state is maintained by
-    {!Criticality.Engine} under dirty-region propagation instead of a
-    full re-analysis per merge step, candidate content (merged keys and
-    latency estimates) is memoized on stable node uids, validity checks
-    run allocation-free, and with [jobs > 1] independent candidates are
+    {!Criticality.Engine}, which splices each trial merge into its
+    stable-id DAG instead of re-analysing the circuit, candidate content
+    (merged keys and latency estimates) is memoised in flat per-edge
+    slots, scores are computed over a flat snapshot of the engine,
+    validity checks run allocation-free, and with [jobs > 1] independent candidates are
     explored on a {!Paqoc_pulse.Pool} when a single candidate is worth
     dispatching — i.e. on a real QOC backend; analytic pricing stays
     inline, so the pool spawns no workers and an all-cache-hit compile

@@ -5,7 +5,7 @@ type scored = {
 }
 
 (* The Section V-A benefit formula, shared by the incremental search's
-   memoized scorer ({!Merger}) and the reference scorer of the test
+   scorer ({!Merger}) and the reference scorer of the test
    oracle: both paths must produce bit-identical scores, so there is
    exactly one copy of the arithmetic. *)
 let score_value ~case ~u_critical ~l_u ~l_v ~cp_v ~alt_after_u ~est =
@@ -32,8 +32,8 @@ let score_value ~case ~u_critical ~l_u ~l_v ~cp_v ~alt_after_u ~est =
 
 (* Total order: score descending, then (u, v) ascending — candidates are
    distinct pairs, so the sorted sequence is unique whatever the input
-   order. Shared with the incremental search for the same reason as
-   [score_value]. *)
+   order. The incremental search's selection heap ([Merger]) pops its
+   flat candidate arrays in this same order. *)
 let compare_scored a b =
   if a.score <> b.score then compare b.score a.score
   else

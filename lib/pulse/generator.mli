@@ -231,8 +231,10 @@ val peek : t -> group -> outcome option
 
 (** [estimate_latency t g] is a free model-based latency estimate — the
     quantity the criticality search uses when Observations 1/2 let it skip
-    pulse generation. Never touches the cache or the cost accounting. *)
-val estimate_latency : t -> group -> float
+    pulse generation. Never touches the cache or the cost accounting.
+    [?key], when the caller already holds it, must be [key g]; it saves
+    serialising the group a second time. *)
+val estimate_latency : ?key:string -> t -> group -> float
 
 (** [avg_latency_for_size t nq] is the corpus-average merged latency for an
     [nq]-qubit customized gate (the paper's Observation-2 estimate for
@@ -267,6 +269,15 @@ val priced_latency_of_key : t -> string -> float option
     caller holding interned keys may cache priced latencies as long as
     the epoch is unchanged, skipping even the memo lookup. *)
 val price_epoch : t -> int
+
+(** [repriced_since t e] is [(now, keys)]: [now] is the current
+    {!price_epoch}, and [keys] lists the canonical key of every
+    database write after epoch [e], oldest first (repeats possible) —
+    the only keys whose {!priced_latency_of_key} can differ from what
+    it said at epoch [e]. [keys] is [None] when the bounded log no
+    longer reaches back to [e]; the caller must then re-read every
+    price it holds. *)
+val repriced_since : t -> int -> int * string list option
 
 (** Priced-latency requests that missed the memo and had to do real
     work since creation (unit-test hook for the memo's effectiveness;

@@ -230,6 +230,11 @@ type response =
     maps it to the [deadline_exceeded] wire error. *)
 exception Deadline_exceeded
 
+(** [Rejected msg]: a request handler refuses a request that can never
+    succeed as asked (e.g. a circuit wider than its device); {!Server}
+    maps it to the [bad_request] wire error carrying [msg]. *)
+exception Rejected of string
+
 (** {1 Codecs} *)
 
 val request_to_json : request -> json

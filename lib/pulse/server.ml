@@ -187,6 +187,11 @@ let dispatch t ~deadline_s ~wrap run =
             t.rejected_deadline <- t.rejected_deadline + 1;
             Obs.count "server.deadline_exceeded");
         Protocol.Refused Protocol.Deadline_exceeded
+      | exception Protocol.Rejected msg ->
+        locked t.slock (fun () ->
+            t.errors <- t.errors + 1;
+            Obs.count "server.error");
+        Protocol.Refused (Protocol.Bad_request msg)
       | exception e ->
         locked t.slock (fun () ->
             t.errors <- t.errors + 1;

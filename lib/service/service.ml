@@ -26,6 +26,17 @@ let resolve_circuit = function
     try Qasm.parse src
     with Qasm.Parse_error msg -> failwith ("QASM parse error: " ^ msg))
 
+(* Sabre needs a physical qubit per logical one: refuse a circuit wider
+   than its device up front, as a bad request rather than a routing
+   crash. *)
+let check_width (logical : Circuit.t) dev =
+  let need = logical.Circuit.n_qubits and have = Device.n_qubits dev in
+  if need > have then
+    raise
+      (Protocol.Rejected
+         (Printf.sprintf "circuit needs %d qubits but device %s has %d" need
+            (Device.name dev) have))
+
 let check_deadline = function
   | Some d when Clock.now_s () > d -> raise Protocol.Deadline_exceeded
   | _ -> ()
@@ -80,6 +91,7 @@ let compile ?cache ?retry ~deadline (req : Protocol.compile_request) =
       ~cols:req.Protocol.cols ~drift_seed:req.Protocol.drift_seed
       ~drift_epoch:req.Protocol.drift_epoch
   in
+  check_width logical dev;
   let coupling = Device.coupling dev in
   let t = Transpile.run ~coupling logical in
   let physical = t.Transpile.physical in
@@ -250,6 +262,7 @@ let sweep_handle ?cache ?plan_path ~deadline (req : Protocol.recompile_request) 
   in
   let freeze_plan () =
     let logical = resolve_sweep_circuit req.Protocol.rc_circuit in
+    check_width logical dev;
     let coupling = Device.coupling dev in
     let t = Transpile.run ~coupling logical in
     V.freeze ~anchors:req.Protocol.rc_anchors ~jobs:req.Protocol.rc_jobs

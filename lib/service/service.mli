@@ -21,6 +21,12 @@
     shared {!Paqoc_pulse.Cache}, exactly like the suite driver's
     cross-benchmark dedup. *)
 
+(** [resolve_circuit c] is the circuit a request names: a built-in
+    benchmark by name, or inline QASM source parsed.
+    @raise Failure ["NAME is neither a QASM file nor a built-in
+    benchmark"] or ["QASM parse error: ..."]. *)
+val resolve_circuit : Paqoc_pulse.Protocol.circuit -> Paqoc_circuit.Circuit.t
+
 (** [resolve_device ~device ~rows ~cols ~drift_seed ~drift_epoch] is the
     one device-resolution path for every request kind (and the CLI's
     in-process commands): a registry name ([device = Some _],
@@ -61,9 +67,12 @@ type compiled = {
     device's cache namespace.
     @raise Paqoc_pulse.Protocol.Deadline_exceeded when the budget
     expires at a stage boundary.
+    @raise Paqoc_pulse.Protocol.Rejected when the circuit has more
+    qubits than the device (checked before transpiling; the server
+    answers [bad_request]).
     @raise Failure on an unresolvable request (unknown benchmark or
     device, QASM parse error, bad grid/knobs such as [max_n] or [top_k]
-    below 1) — the server maps it to a typed wire error. *)
+    below 1). *)
 val compile :
   ?cache:Paqoc_pulse.Cache.t ->
   ?retry:Paqoc_pulse.Generator.retry ->
@@ -106,6 +115,8 @@ val handler :
     across runs.
     @raise Paqoc_pulse.Protocol.Deadline_exceeded when the budget
     expires (checked at entry and before every iteration).
+    @raise Paqoc_pulse.Protocol.Rejected when a plan must be frozen for
+    a circuit wider than the device.
     @raise Failure on an unresolvable request (unknown sweep benchmark,
     bad grid/anchors/tolerance, corrupt plan sidecar).
     @raise Paqoc.Variational.Unbound_parameters when an iteration's

@@ -133,6 +133,26 @@ let suite =
               Paqoc_pulse.Protocol.top_k = 0 };
             { Paqoc_pulse.Protocol.default_compile with
               Paqoc_pulse.Protocol.max_n = 0 } ]);
+    case "compile refuses a circuit wider than its device" (fun () ->
+        (* refused before transpiling (routing could never place it),
+           as the typed refusal the daemon answers with bad_request —
+           on the compile path and on the sweep path's plan freeze *)
+        let module P = Paqoc_pulse.Protocol in
+        let module S = Paqoc_service.Service in
+        let refused what msg f =
+          match f () with
+          | _ -> Alcotest.failf "%s: a too-wide circuit compiled" what
+          | exception P.Rejected m -> Alcotest.(check string) what msg m
+        in
+        refused "compile" "circuit needs 21 qubits but device 2x2 has 4"
+          (fun () ->
+            S.compile ~deadline:None
+              { P.default_compile with
+                P.circuit = P.Benchmark "bv"; rows = 2; cols = 2 });
+        refused "sweep" "circuit needs 10 qubits but device 1x2 has 2"
+          (fun () ->
+            S.sweep_handle ~deadline:None
+              { P.default_recompile with P.rc_rows = 1; rc_cols = 2 }));
     case "single-gate circuit compiles" (fun () ->
         let c = Circuit.make ~n_qubits:2 [ Gate.app2 Gate.CX 0 1 ] in
         let gen = Gen.model_default () in

@@ -137,6 +137,113 @@ let engine_differential =
       let st = Random.State.make [| 0x5eed; Circuit.n_gates c |] in
       drive_engine st c)
 
+(* The window splice against the contraction it replaces: after every
+   stage — random batches of one to three span-disjoint pairs, edges and
+   independent (wide-window) pairs alike — the staged circuit must be
+   Rewrite.contract_mapped on the committed circuit gate for gate: each
+   position holds the very gate (physically) the contraction puts
+   there, the surviving one or the group's replacement. *)
+let splice_differential =
+  QCheck.Test.make ~count:60
+    ~name:"stage == contract_mapped (disjoint batches of 1-3 pairs)"
+    (arb_circuit ~n:6 ~max_gates:30 ())
+    (fun c ->
+      let st = Random.State.make [| 0x5b11ce; Circuit.n_gates c |] in
+      let gen = Gen.model_default () in
+      let eng = Engine.create gen c in
+      let k = ref 0 in
+      (try
+         for step = 1 to 6 do
+           let dag = Engine.dag eng in
+           let n = Dag.n_nodes dag in
+           let independent = ref [] in
+           for u = 0 to n - 1 do
+             for v = u + 1 to n - 1 do
+               if not (Dag.reachable dag u v) then
+                 independent := (u, v) :: !independent
+             done
+           done;
+           let pool = mergeable_pairs dag @ !independent in
+           if pool = [] then raise Exit;
+           let shuffled =
+             List.map snd
+               (List.sort compare
+                  (List.map (fun p -> (Random.State.bits st, p)) pool))
+           in
+           let want = 1 + Random.State.int st 3 in
+           let batch =
+             List.fold_left
+               (fun acc (u, v) ->
+                 if List.length acc < want
+                    && List.for_all (fun (u', v') -> v < u' || v' < u) acc
+                 then (u, v) :: acc
+                 else acc)
+               [] shuffled
+           in
+           let groups =
+             List.map
+               (fun (u, v) ->
+                 incr k;
+                 ( [ u; v ],
+                   Rewrite.custom_of_nodes dag [ u; v ]
+                     ~name:(Printf.sprintf "sgrp%d" !k) ))
+               batch
+           in
+           let expected, old_of_new = Rewrite.contract_mapped dag groups in
+           let trial = Engine.stage eng groups in
+           let staged = Engine.staged_circuit eng in
+           let tag = Printf.sprintf "step %d (%d pairs)" step (List.length batch) in
+           check_int (tag ^ ": gates") (Circuit.n_gates expected)
+             (Circuit.n_gates staged);
+           List.iteri
+             (fun j (g : Gate.app) ->
+               let o = old_of_new.(j) in
+               let want =
+                 if o >= 0 then Dag.gate dag o else snd (List.nth groups (-o - 1))
+               in
+               if g != want then
+                 Alcotest.failf "%s: position %d holds %s, contraction has %s"
+                   tag j (Gate.app_to_string g) (Gate.app_to_string want))
+             staged.Circuit.gates;
+           check_bits (tag ^ ": staged total")
+             (Crit.total (Crit.analyze gen expected))
+             trial;
+           if Random.State.bool st then Engine.commit eng
+           else Engine.discard eng;
+           check_engine_matches tag gen eng
+         done
+       with Exit -> ());
+      true)
+
+(* a refused stage must leave the engine exactly as it was *)
+let stage_refusals =
+  case "stage refuses bad groups and changes nothing" (fun () ->
+      let c =
+        Circuit.make ~n_qubits:3
+          [ Gate.app2 Gate.CX 0 1; Gate.app2 Gate.CX 1 2; Gate.app2 Gate.CX 0 1;
+            Gate.app1 Gate.H 2; Gate.app2 Gate.CX 0 2 ]
+      in
+      let gen = Gen.model_default () in
+      let eng = Engine.create gen c in
+      let dag = Engine.dag eng in
+      let grp nodes =
+        (nodes, Rewrite.custom_of_nodes dag nodes ~name:"bad")
+      in
+      let before = Circuit.to_string (Engine.circuit eng) in
+      List.iter
+        (fun (what, groups) ->
+          (match Engine.stage eng groups with
+          | _ -> Alcotest.failf "%s: staged" what
+          | exception Invalid_argument _ -> ());
+          check_true (what ^ ": circuit unchanged")
+            (Circuit.to_string (Engine.circuit eng) = before);
+          check_engine_matches what gen eng)
+        [ ("non-convex", [ grp [ 0; 2 ] ]);
+          ("overlapping spans", [ grp [ 0; 2 ]; grp [ 1; 3 ] ]);
+          ("shared node", [ grp [ 0; 1 ]; grp [ 1; 3 ] ]);
+          ("bad id", [ grp [ 0; 1 ]; ([ 0; 9 ], snd (grp [ 0; 1 ])) ]);
+          ("other qubits", [ ([ 3 ], Gate.app2 Gate.CX 0 1) ]) ])
+
 (* ------------------------------------------------------------------ *)
 (* run vs run_reference                                                *)
 (* ------------------------------------------------------------------ *)
@@ -277,10 +384,17 @@ let suite_equivalence =
 (* ------------------------------------------------------------------ *)
 
 (* one whole stage+discard cycle on ham7_104 (560 episodes) measures
-   ~122k minor words — the contraction's O(n) circuit/DAG rebuild; the
-   ceiling pins the order of magnitude so a per-step re-analysis or an
-   O(n^2) scratch allocation cannot creep back in unnoticed *)
-let step_budget_words = 250_000.0
+   ~1.6k minor words — the merged gate's key and price, the batch's
+   small arrays and the undo log's growth; the splice itself allocates
+   nothing. The ceiling (about 2x) pins that: a circuit or DAG rebuild
+   per stage (~122k words before the splice) or any O(n) scratch
+   allocation would blow it. *)
+let step_budget_words = 3_500.0
+
+(* one warmed score+select pass over the same circuit measures ~7.2k
+   minor words: the boxed float arguments of the shared score formula
+   per kept edge, and the selection's short lists *)
+let score_budget_words = 15_000.0
 
 let alloc_suite =
   [ case "reachability workspace queries allocate nothing" (fun () ->
@@ -337,7 +451,28 @@ let alloc_suite =
           Alcotest.failf
             "stage+discard allocates %.0f minor words/step, over the %.0f \
              budget — a hot-path allocation crept back in"
-            per_step step_budget_words)
+            per_step step_budget_words);
+    slow_case "a warmed-up score+select stays under the minor-heap budget"
+      (fun () ->
+        let physical =
+          (Suite.transpiled (Suite.find "ham7_104")).Transpile.physical
+        in
+        let s = Merger.search (Gen.model_default ()) physical in
+        (* the first pass prices every pair; later passes re-read them *)
+        for _ = 1 to 3 do
+          ignore (Merger.score_and_select s)
+        done;
+        let reps = 50 in
+        let before = Gc.minor_words () in
+        for _ = 1 to reps do
+          ignore (Merger.score_and_select s)
+        done;
+        let per = (Gc.minor_words () -. before) /. float_of_int reps in
+        if per > score_budget_words then
+          Alcotest.failf
+            "score+select allocates %.0f minor words/step, over the %.0f \
+             budget — per-edge allocation crept back into scoring"
+            per score_budget_words)
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -390,6 +525,8 @@ let priced_memo_suite =
 
 let suite =
   [ qcheck engine_differential;
+    qcheck splice_differential;
+    stage_refusals;
     qcheck search_differential;
     suite_equivalence
   ]

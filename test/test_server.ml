@@ -360,6 +360,30 @@ let test_malformed_payload_keeps_connection () =
   | Protocol.Pong -> ()
   | _ -> Alcotest.fail "connection should survive bad payloads"
 
+let test_too_wide_is_bad_request () =
+  (* Service refuses a circuit wider than its device before transpiling;
+     the daemon answers the typed bad_request with Service's message
+     (not an internal error from the router) and keeps serving *)
+  with_server (Service.handler ()) @@ fun socket t ->
+  Server.with_connection socket @@ fun fd ->
+  (match
+     Server.rpc fd
+       (Protocol.Compile
+          { Protocol.default_compile with
+            Protocol.circuit = Protocol.Benchmark "bv";
+            rows = 2;
+            cols = 2
+          })
+   with
+  | Protocol.Refused (Protocol.Bad_request msg) ->
+    Alcotest.(check string)
+      "names both widths" "circuit needs 21 qubits but device 2x2 has 4" msg
+  | _ -> Alcotest.fail "expected bad_request for a too-wide circuit");
+  check_int "counted as a request error" 1 (Server.stats t).Protocol.errors;
+  match Server.rpc fd Protocol.Ping with
+  | Protocol.Pong -> ()
+  | _ -> Alcotest.fail "connection should survive the refusal"
+
 let test_torn_frame_keeps_daemon () =
   with_server echo_handler @@ fun socket _t ->
   (* connection 1 sends a frame header claiming 4 GiB: connection dies,
@@ -442,11 +466,14 @@ let test_compiles_refused_while_draining () =
   with_server echo_handler @@ fun socket t ->
   Server.request_stop t;
   Server.with_connection socket @@ fun fd ->
-  Protocol.write_request fd (Protocol.Compile Protocol.default_compile);
-  match Protocol.read_response fd with
+  match
+    Protocol.write_request fd (Protocol.Compile Protocol.default_compile);
+    Protocol.read_response fd
+  with
   | Ok (Protocol.Refused Protocol.Shutting_down) -> ()
   (* the daemon may already have stopped reading: a closed or reset
-     connection is also a correct refusal *)
+     connection is also a correct refusal, whether the write or the read
+     finds it closed *)
   | exception Protocol.Frame_error _ -> ()
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> ()
   | _ -> Alcotest.fail "expected shutting_down or a closed connection"
@@ -635,6 +662,8 @@ let suite =
       test_deadline_mid_compile;
     case "server: bad payloads keep the connection"
       test_malformed_payload_keeps_connection;
+    case "server: a circuit wider than its device is a bad request"
+      test_too_wide_is_bad_request;
     case "server: torn frame kills the connection, not the daemon"
       test_torn_frame_keeps_daemon;
     case "server: overload refusal at queue cap" test_overload_refusal;
