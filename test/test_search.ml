@@ -525,9 +525,9 @@ let priced_memo_suite =
 
 let suite =
   [ qcheck engine_differential;
-    qcheck splice_differential;
-    stage_refusals;
     qcheck search_differential;
-    suite_equivalence
+    suite_equivalence;
+    qcheck splice_differential;
+    stage_refusals
   ]
   @ alloc_suite @ priced_memo_suite
