@@ -2,8 +2,8 @@
 
     Candidates are pairs of directly dependent gates (DAG edges — the
     "two-gate grouping" of each hierarchical search level). This module
-    holds the candidate record and the Observation-1 pre-processing; the
-    search ([Merger.run]) admits candidates on the fly. The pruning
+    holds the Observation-1 pre-processing; the search ([Merger.run])
+    admits candidates on the fly. The pruning
     pipeline applies, in order:
 
     + the pre-processing rule from Observation 1 — consecutive gates whose
@@ -14,14 +14,6 @@
     + the size cap [maxN];
     + the criticality rule — Case III pairs (neither gate on the critical
       path) are dropped: merging them cannot shorten the circuit. *)
-
-type t = {
-  u : int;  (** earlier node id *)
-  v : int;  (** later node id, direct successor of [u] *)
-  case : [ `I | `II | `III ];
-      (** [`III] only appears when pruning is disabled (ablations) *)
-  n_qubits : int;  (** qubit count of the merged gate *)
-}
 
 (** [qubit_union a b] is the sorted set of qubits the merged gate would
     touch — the content-only ingredient of candidate admission, exposed

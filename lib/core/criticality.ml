@@ -528,16 +528,16 @@ module Engine = struct
 
   (* [refresh e] re-resolves episode latencies after the pulse database
      changed under the unchanged circuit (a rolled-back attempt still
-     generates pulses). The generator names the keys it rewrote since
-     [e.epoch]; only nodes carrying one of those keys can have moved,
-     and the waves start from them. No-op when the epoch is unchanged. *)
+     generates pulses). Every interned key is re-read; only nodes whose
+     key's price moved seed the waves. No-op when the epoch is
+     unchanged. *)
   let refresh e =
     discard e;
-    let ep, keys = Generator.repriced_since e.gen e.epoch in
+    let ep = Generator.price_epoch e.gen in
     if ep <> e.epoch then begin
       Obs.with_span "criticality.engine.refresh" @@ fun () ->
       let moved = ref false in
-      let reprice kd =
+      for kd = 0 to Hashtbl.length e.kids - 1 do
         (* every interned key was priced through the memo, which keeps
            its entries for the generator's life *)
         let l =
@@ -547,16 +547,7 @@ module Engine = struct
           e.kid_lat.(kd) <- l;
           moved := true
         end
-      in
-      (match keys with
-      | Some ks ->
-        List.iter
-          (fun k -> Option.iter reprice (Hashtbl.find_opt e.kids k))
-          ks
-      | None ->
-        for kd = 0 to Hashtbl.length e.kids - 1 do
-          reprice kd
-        done);
+      done;
       if !moved then begin
         let lo = ref e.n and hi = ref (-1) in
         for p = 0 to e.n - 1 do

@@ -90,13 +90,18 @@ module Engine : sig
   (** A flat snapshot of the committed schedule and DAG, for loops that
       visit every edge: node quantities by position, and every edge
       [(src.(k), dst.(k))] of [Dag.succs (dag e)] once, [src]
-      ascending so each node's edges are contiguous. [slot.(k)] is a
-      stable id of the edge's source wire — it stays with the source
-      node for life, is below [n_slots], and a committed node's slots
-      are never handed to another gate — so callers can key per-edge
-      data on it, checked against [dst_uid.(k)]. The arrays are reused
-      and grown by {!fill_view}; entries past {!n_nodes} / [m] are
-      garbage. *)
+      ascending so each node's edges are contiguous. [slot.(k)] (below
+      [n_slots]) is a stable id of the edge's source wire and
+      [dst_uid.(k)] a stable id of the successor's gate.
+
+      Identity contract: a slot stays with its source node and a uid
+      with its gate for life, and once a node is committed neither is
+      ever handed to another gate (only a discarded trial's ids are
+      reused). So [(slot.(k), dst_uid.(k))] seen in two snapshots names
+      the same pair of gates, and callers may key per-edge data on it
+      across commits. test_search's "view slots and uids never name
+      another gate" pins the contract. The arrays are reused and grown
+      by {!fill_view}; entries past {!n_nodes} / [m] are garbage. *)
   type view = {
     mutable lat : float array;  (** {!latency} *)
     mutable cp : float array;  (** {!cp_after} *)
@@ -106,8 +111,6 @@ module Engine : sig
     mutable dst : int array;
     mutable slot : int array;
     mutable dst_uid : int array;
-        (** the stable uid of [dst]'s gate: kept for life, fresh for a
-            merged gate, never handed to another gate once committed *)
     mutable n_slots : int;
   }
 

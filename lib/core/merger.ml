@@ -55,8 +55,9 @@ let compute_pair_info gen (gu : Gate.app) (gv : Gate.app) =
 (* Edge slots: the pair_info of an edge lives at the engine's stable id
    of the edge's source wire ([view.slot]), tagged with the successor's
    uid. A neighbouring merge replaces the successor, the tag stops
-   matching, and the entry is recomputed; committed uids and slots are
-   never reused, so a matching tag always means the same pair of gates.
+   matching, and the entry is recomputed; by the view's identity contract
+   (see [Criticality.Engine.view]) a matching tag always means the same
+   pair of gates.
    The qubit union is filled in first; the merged key and estimate
    (a key serialisation and a model pricing) only once an edge passes
    the maxN cap and the Case-III pruning. Merged keys are interned: the
@@ -129,9 +130,9 @@ let push_cand c u v k score =
   c.score.(i) <- score;
   c.m <- i + 1
 
-(* [better c i j]: candidate [i] ranks before [j] in
-   [Ranking.sort_scored]'s total order — score descending, then (u, v)
-   ascending — over the flat arrays. Scores that reach here are finite
+(* [better c i j]: candidate [i] ranks before [j] in the search's total
+   order — score descending, then (u, v) ascending — over the flat
+   arrays. Scores that reach here are finite
    and above 1e-9. *)
 let better c i j =
   let si = c.score.(i) and sj = c.score.(j) in

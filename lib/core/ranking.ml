@@ -1,9 +1,3 @@
-type scored = {
-  candidate : Candidates.t;
-  score : float;
-  est_merged_latency : float;
-}
-
 (* The Section V-A benefit formula, shared by the incremental search's
    scorer ({!Merger}) and the reference scorer of the test
    oracle: both paths must produce bit-identical scores, so there is
@@ -29,16 +23,3 @@ let score_value ~case ~u_critical ~l_u ~l_v ~cp_v ~alt_after_u ~est =
        (Section V-A prunes these); scored only in the pruning ablation,
        by the local Observation-1 gain *)
     l_u +. l_v -. est
-
-(* Total order: score descending, then (u, v) ascending — candidates are
-   distinct pairs, so the sorted sequence is unique whatever the input
-   order. The incremental search's selection heap ([Merger]) pops its
-   flat candidate arrays in this same order. *)
-let compare_scored a b =
-  if a.score <> b.score then compare b.score a.score
-  else
-    compare
-      (a.candidate.Candidates.u, a.candidate.Candidates.v)
-      (b.candidate.Candidates.u, b.candidate.Candidates.v)
-
-let sort_scored scored = List.sort compare_scored scored

@@ -6,13 +6,8 @@
     estimate for same-size merges, the corpus average for size-growing
     merges), and the paper's path formulas supply the local critical-path
     delta. Pulse generation happens only for the top-k candidates the
-    merger actually commits. *)
-
-type scored = {
-  candidate : Candidates.t;
-  score : float;  (** estimated latency reduction, device dt *)
-  est_merged_latency : float;
-}
+    merger actually commits. [Merger.run] ranks candidates by this score,
+    descending, ties broken by pair [(u, v)] ascending. *)
 
 (** The bare Section V-A benefit formula: the one copy of the scoring
     arithmetic, used by the incremental search ([Merger.run]) on its
@@ -27,7 +22,3 @@ val score_value :
   alt_after_u:float ->
   est:float ->
   float
-
-(** [sort_scored l] ranks candidates best-first: score descending, then
-    pair ascending (ties: earlier pair first, for determinism). *)
-val sort_scored : scored list -> scored list

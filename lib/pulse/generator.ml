@@ -156,9 +156,6 @@ type t = {
   mutable price_epoch : int;
       (** bumped on every [cache] write; lets callers that interned their
           key strings skip even the memo lookup between writes *)
-  reprice_log : string array;
-      (** the key of write [i] sits at [i mod reprice_log_cap], so the
-          last [reprice_log_cap] epochs can be replayed key by key *)
   mutable price_misses : int;
       (** priced-latency requests that had to do real work (a table peek
           plus possibly a model estimate) instead of a memo hit *)
@@ -181,8 +178,6 @@ let is_table_entry g =
   | [ { Gate.kind = Gate.Custom _; _ } ] -> false
   | [ _ ] -> true
   | _ -> false
-
-let reprice_log_cap = 64
 
 let create ?(retry = default_retry) ?shared backend =
   if retry.max_attempts < 1 then
@@ -207,7 +202,6 @@ let create ?(retry = default_retry) ?shared backend =
     replays = Hashtbl.create 16;
     priced = Hashtbl.create 256;
     price_epoch = 0;
-    reprice_log = Array.make reprice_log_cap "";
     price_misses = 0
   }
 
@@ -217,7 +211,6 @@ let create ?(retry = default_retry) ?shared backend =
 let table_put t k (o : outcome) =
   Hashtbl.replace t.cache k o;
   Hashtbl.replace t.priced k o.latency;
-  t.reprice_log.(t.price_epoch mod reprice_log_cap) <- k;
   t.price_epoch <- t.price_epoch + 1
 
 let set_shared_cache t c = locked t (fun () -> t.shared <- c)
@@ -1095,20 +1088,6 @@ let priced_latency_of_key t k =
   locked t (fun () -> Hashtbl.find_opt t.priced k)
 
 let price_epoch t = locked t (fun () -> t.price_epoch)
-
-let repriced_since t since =
-  locked t (fun () ->
-      let ep = t.price_epoch in
-      if since < 0 || since > ep || ep - since > reprice_log_cap then
-        (ep, None)
-      else begin
-        let keys = ref [] in
-        for i = ep - 1 downto since do
-          keys := t.reprice_log.(i mod reprice_log_cap) :: !keys
-        done;
-        (ep, Some !keys)
-      end)
-
 let price_misses t = locked t (fun () -> t.price_misses)
 
 let seed_breakdown t =

@@ -270,15 +270,6 @@ val priced_latency_of_key : t -> string -> float option
     the epoch is unchanged, skipping even the memo lookup. *)
 val price_epoch : t -> int
 
-(** [repriced_since t e] is [(now, keys)]: [now] is the current
-    {!price_epoch}, and [keys] lists the canonical key of every
-    database write after epoch [e], oldest first (repeats possible) —
-    the only keys whose {!priced_latency_of_key} can differ from what
-    it said at epoch [e]. [keys] is [None] when the bounded log no
-    longer reaches back to [e]; the caller must then re-read every
-    price it holds. *)
-val repriced_since : t -> int -> int * string list option
-
 (** Priced-latency requests that missed the memo and had to do real
     work since creation (unit-test hook for the memo's effectiveness;
     not reset by {!reset_accounting}). *)

@@ -32,6 +32,31 @@ module Merger = Paqoc.Merger
 (* Candidates and ranking                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* A surviving merge candidate: a DAG edge [u -> v]. *)
+type candidate = {
+  u : int;  (** earlier node id *)
+  v : int;  (** later node id, direct successor of [u] *)
+  case : [ `I | `II | `III ];
+      (** [`III] only appears when pruning is disabled (ablations) *)
+  n_qubits : int;  (** qubit count of the merged gate *)
+}
+
+type scored = {
+  candidate : candidate;
+  score : float;  (** estimated latency reduction, device dt *)
+  est_merged_latency : float;
+}
+
+(* Total order: score descending, then (u, v) ascending — candidates are
+   distinct pairs, so the sorted sequence is unique whatever the input
+   order. [Merger]'s selection heap pops its flat candidate arrays in
+   this same order. *)
+let compare_scored a b =
+  if a.score <> b.score then compare b.score a.score
+  else compare (a.candidate.u, a.candidate.v) (b.candidate.u, b.candidate.v)
+
+let sort_scored scored = List.sort compare_scored scored
+
 (* The surviving candidates of an analyzed circuit: DAG edges within the
    size cap with no indirect path, Case III dropped unless
    [include_case_iii] (the pruning ablation). *)
@@ -49,12 +74,9 @@ let enumerate ?(include_case_iii = false) (crit : Criticality.t) ~maxN =
           match Criticality.case_of crit u v with
           | `III ->
             if include_case_iii then
-              out :=
-                { Candidates.u; v; case = `III; n_qubits = List.length union }
-                :: !out
+              out := { u; v; case = `III; n_qubits = List.length union } :: !out
           | (`I | `II) as case ->
-            out :=
-              { Candidates.u; v; case; n_qubits = List.length union } :: !out)
+            out := { u; v; case; n_qubits = List.length union } :: !out)
       (Dag.succs dag u)
   done;
   List.rev !out
@@ -64,15 +86,15 @@ let n_qubits_of (g : Gate.app) =
 
 (* Prices one candidate from the analysis, through the library's one copy
    of the Section V-A formula. *)
-let score gen (crit : Criticality.t) (cand : Candidates.t) =
+let score gen (crit : Criticality.t) (cand : candidate) =
   let dag = crit.Criticality.dag in
-  let u = cand.Candidates.u and v = cand.Candidates.v in
+  let u = cand.u and v = cand.v in
   let gu = Dag.gate dag u and gv = Dag.gate dag v in
   let l_u = Criticality.latency crit u
   and l_v = Criticality.latency crit v in
   let merged_group, _ = Generator.group_of_apps [ gu; gv ] in
   let grows =
-    cand.Candidates.n_qubits > max (n_qubits_of gu) (n_qubits_of gv)
+    cand.n_qubits > max (n_qubits_of gu) (n_qubits_of gv)
   in
   let est =
     let model_est = Generator.estimate_latency gen merged_group in
@@ -80,7 +102,7 @@ let score gen (crit : Criticality.t) (cand : Candidates.t) =
       (* Observation 2: a bigger customized gate is, on average, slower —
          price it at least at the corpus average for its size *)
       Float.max model_est
-        (Generator.avg_latency_for_size gen cand.Candidates.n_qubits)
+        (Generator.avg_latency_for_size gen cand.n_qubits)
     else model_est
   in
   (* longest continuation through u's other successors (the paper's C) *)
@@ -95,14 +117,14 @@ let score gen (crit : Criticality.t) (cand : Candidates.t) =
   in
   let cp_v = Criticality.cp_after crit v in
   let score =
-    Ranking.score_value ~case:cand.Candidates.case
+    Ranking.score_value ~case:cand.case
       ~u_critical:(Criticality.is_critical crit u) ~l_u ~l_v ~cp_v
       ~alt_after_u ~est
   in
-  { Ranking.candidate = cand; score; est_merged_latency = est }
+  { candidate = cand; score; est_merged_latency = est }
 
 (* scored and sorted best-first (ties: earlier pair first) *)
-let rank gen crit cands = Ranking.sort_scored (List.map (score gen crit) cands)
+let rank gen crit cands = sort_scored (List.map (score gen crit) cands)
 
 (* ------------------------------------------------------------------ *)
 (* The reference search                                                *)
@@ -122,13 +144,9 @@ let run_reference ?(config = Merger.default_config) gen c =
     let dag = crit.Criticality.dag in
     let groups =
       List.map
-        (fun (s : Ranking.scored) ->
+        (fun (s : scored) ->
           incr merge_counter;
-          let nodes =
-            [ s.Ranking.candidate.Candidates.u;
-              s.Ranking.candidate.Candidates.v
-            ]
-          in
+          let nodes = [ s.candidate.u; s.candidate.v ] in
           ( nodes,
             Rewrite.custom_of_nodes dag nodes
               ~name:(Printf.sprintf "grp%d" !merge_counter) ))
@@ -156,13 +174,13 @@ let run_reference ?(config = Merger.default_config) gen c =
       in
       let scored =
         rank gen crit cands
-        |> List.filter (fun (s : Ranking.scored) ->
-               s.Ranking.score > 1e-9
+        |> List.filter (fun (s : scored) ->
+               s.score > 1e-9
                && not
                     (Hashtbl.mem blacklist
                        (merged_key crit.Criticality.dag
-                          s.Ranking.candidate.Candidates.u
-                          s.Ranking.candidate.Candidates.v)))
+                          s.candidate.u
+                          s.candidate.v)))
       in
       if scored = [] then c
       else begin
@@ -170,9 +188,9 @@ let run_reference ?(config = Merger.default_config) gen c =
         let spans = ref [] in
         let batch =
           List.filter
-            (fun (s : Ranking.scored) ->
-              let lo = s.Ranking.candidate.Candidates.u
-              and hi = s.Ranking.candidate.Candidates.v in
+            (fun (s : scored) ->
+              let lo = s.candidate.u
+              and hi = s.candidate.v in
               let lo, hi = (min lo hi, max lo hi) in
               if List.length !spans >= config.Merger.top_k then false
               else if
@@ -203,8 +221,8 @@ let run_reference ?(config = Merger.default_config) gen c =
               let s = List.hd batch in
               Hashtbl.replace blacklist
                 (merged_key crit.Criticality.dag
-                   s.Ranking.candidate.Candidates.u
-                   s.Ranking.candidate.Candidates.v)
+                   s.candidate.u
+                   s.candidate.v)
                 ();
               None
             end

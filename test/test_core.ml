@@ -56,9 +56,10 @@ let cand_tests =
         let t = Crit.analyze gen c in
         let cands = Oracle.enumerate t ~maxN:3 in
         List.iter
-          (fun (cand : Cand.t) ->
+          (fun (cand : Oracle.candidate) ->
             check_true "at least one critical endpoint"
-              (Crit.is_critical t cand.Cand.u || Crit.is_critical t cand.Cand.v))
+              (Crit.is_critical t cand.Oracle.u
+              || Crit.is_critical t cand.Oracle.v))
           cands);
     case "size cap enforced" (fun () ->
         let c =
@@ -68,11 +69,13 @@ let cand_tests =
         let gen = Gen.model_default () in
         let t = Crit.analyze gen c in
         List.iter
-          (fun (cand : Cand.t) -> check_true "<= 3 qubits" (cand.Cand.n_qubits <= 3))
+          (fun (cand : Oracle.candidate) ->
+            check_true "<= 3 qubits" (cand.Oracle.n_qubits <= 3))
           (Oracle.enumerate t ~maxN:3);
         (* with maxN = 2 the 0-1/1-2 merges (3 qubits) disappear *)
         List.iter
-          (fun (cand : Cand.t) -> check_true "<= 2 qubits" (cand.Cand.n_qubits <= 2))
+          (fun (cand : Oracle.candidate) ->
+            check_true "<= 2 qubits" (cand.Oracle.n_qubits <= 2))
           (Oracle.enumerate t ~maxN:2));
     case "cycle-creating pairs invalid" (fun () ->
         (* u -> w -> v and u -> v: merging (u,v) would orphan w *)
@@ -84,7 +87,10 @@ let cand_tests =
         let t = Crit.analyze gen c in
         let cands = Oracle.enumerate t ~maxN:3 in
         check_true "no (0,2) candidate"
-          (not (List.exists (fun (x : Cand.t) -> x.Cand.u = 0 && x.Cand.v = 2) cands)));
+          (not
+             (List.exists
+                (fun (x : Oracle.candidate) -> x.Oracle.u = 0 && x.Oracle.v = 2)
+                cands)));
     case "preprocess merges same-qubit runs" (fun () ->
         let c =
           Circuit.make ~n_qubits:2
@@ -118,7 +124,7 @@ let ranking_tests =
         let t = Crit.analyze gen c in
         let scored = Oracle.rank gen t (Oracle.enumerate t ~maxN:3) in
         check_true "has candidates" (scored <> []);
-        check_true "top score positive" ((List.hd scored).Ranking.score > 0.0));
+        check_true "top score positive" ((List.hd scored).Oracle.score > 0.0));
     case "fig 4: merging A,C does not elongate" (fun () ->
         let gen = Gen.model_default () in
         let t = Crit.analyze gen fig4 in
@@ -127,8 +133,8 @@ let ranking_tests =
         (* all surviving candidates estimate a non-elongating merge or a
            negative score that the merger will filter *)
         List.iter
-          (fun (s : Ranking.scored) ->
-            check_true "estimate present" (s.Ranking.est_merged_latency > 0.0))
+          (fun (s : Oracle.scored) ->
+            check_true "estimate present" (s.Oracle.est_merged_latency > 0.0))
           scored);
     case "rank is sorted descending" (fun () ->
         let c =
@@ -139,8 +145,8 @@ let ranking_tests =
         let t = Crit.analyze gen c in
         let scored = Oracle.rank gen t (Oracle.enumerate t ~maxN:3) in
         let rec sorted = function
-          | (a : Ranking.scored) :: (b :: _ as rest) ->
-            a.Ranking.score >= b.Ranking.score && sorted rest
+          | (a : Oracle.scored) :: (b :: _ as rest) ->
+            a.Oracle.score >= b.Oracle.score && sorted rest
           | _ -> true
         in
         check_true "sorted" (sorted scored))
@@ -281,11 +287,12 @@ let ablation_tests =
           (List.length all > List.length pruned);
         check_true "extra ones are Case III"
           (List.for_all
-             (fun (x : Cand.t) ->
-               x.Cand.case <> `III
+             (fun (x : Oracle.candidate) ->
+               x.Oracle.case <> `III
                || not
                     (List.exists
-                       (fun (y : Cand.t) -> y.Cand.u = x.Cand.u && y.Cand.v = x.Cand.v)
+                       (fun (y : Oracle.candidate) ->
+                         y.Oracle.u = x.Oracle.u && y.Oracle.v = x.Oracle.v)
                        pruned))
              all))
   ]

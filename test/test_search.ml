@@ -215,6 +215,61 @@ let splice_differential =
        with Exit -> ());
       true)
 
+(* The identity contract [Merger] keys its per-edge cache on: in every
+   committed snapshot, an edge's source-wire [slot] and successor
+   [dst_uid] name the very gate they named in any earlier snapshot.
+   Random merge batches are committed or discarded (a discard hands its
+   trial uids and slots back), and each snapshot is checked against every
+   name seen before. *)
+let view_ids_stable =
+  QCheck.Test.make ~count:40
+    ~name:"view slots and uids never name another gate"
+    (arb_circuit ~n:5 ~max_gates:24 ())
+    (fun c ->
+      let st = Random.State.make [| 0x1d5; Circuit.n_gates c |] in
+      let eng = Engine.create (Gen.model_default ()) c in
+      let w = Engine.view () in
+      let by_slot = Hashtbl.create 64 and by_uid = Hashtbl.create 64 in
+      let same tbl what id (g : Gate.app) =
+        match Hashtbl.find_opt tbl id with
+        | Some g' when g' != g ->
+          Alcotest.failf "%s %d named %s, now %s" what id
+            (Gate.app_to_string g') (Gate.app_to_string g)
+        | Some _ -> ()
+        | None -> Hashtbl.add tbl id g
+      in
+      let check_view () =
+        Engine.fill_view eng w;
+        for k = 0 to w.Engine.m - 1 do
+          let sl = w.Engine.slot.(k) in
+          if sl < 0 || sl >= w.Engine.n_slots then
+            Alcotest.failf "slot %d outside [0, %d)" sl w.Engine.n_slots;
+          same by_slot "slot" sl (Engine.gate eng w.Engine.src.(k));
+          same by_uid "uid" w.Engine.dst_uid.(k)
+            (Engine.gate eng w.Engine.dst.(k))
+        done
+      in
+      check_view ();
+      let k = ref 0 in
+      (try
+         for _ = 1 to 10 do
+           let dag = Engine.dag eng in
+           let pairs = mergeable_pairs dag in
+           if pairs = [] then raise Exit;
+           let u, v = List.nth pairs (Random.State.int st (List.length pairs)) in
+           incr k;
+           let app =
+             Rewrite.custom_of_nodes dag [ u; v ]
+               ~name:(Printf.sprintf "vgrp%d" !k)
+           in
+           ignore (Engine.stage eng [ ([ u; v ], app) ]);
+           if Random.State.int st 3 = 0 then Engine.discard eng
+           else Engine.commit eng;
+           check_view ()
+         done
+       with Exit -> ());
+      true)
+
 (* a refused stage must leave the engine exactly as it was *)
 let stage_refusals =
   case "stage refuses bad groups and changes nothing" (fun () ->
@@ -528,6 +583,7 @@ let suite =
     qcheck search_differential;
     suite_equivalence;
     qcheck splice_differential;
-    stage_refusals
+    stage_refusals;
+    qcheck view_ids_stable
   ]
   @ alloc_suite @ priced_memo_suite
